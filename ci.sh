@@ -36,11 +36,9 @@ echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== no deprecated calls in-tree"
-# The unified-options redesign left the old *_with/*_guarded names as
-# #[deprecated] wrappers for external callers. In-tree code must use
-# the new API: build everything with `-D deprecated`. Wrapper
-# *definitions* (and their delegation bodies, which carry
-# #[allow(deprecated)]) are fine; new *calls* are not.
+# The tree carries no #[deprecated] items. Building everything with
+# `-D deprecated` keeps it that way for calls: any future deprecation
+# (ours or a dependency's) must be migrated in the same change.
 RUSTFLAGS="${RUSTFLAGS:-} -D deprecated" cargo check --workspace --all-targets --offline
 
 echo "== tier-1: release build + tests (sequential: FEO_THREADS=1)"
@@ -63,8 +61,8 @@ echo "== adversarial suite (bounded wall-clock)"
 timeout 120 cargo test -q --offline --release --test adversarial
 
 echo "== planner equivalence (bounded wall-clock)"
-# All three planners must return identical solution multisets on seeded
-# synthetic KGs, guarded or not.
+# Both planners (author order and cost-based) must return identical
+# solution multisets on seeded synthetic KGs, guarded or not.
 timeout 180 cargo test -q --offline --release --test plan_equivalence
 
 echo "== join equivalence (bounded wall-clock, both thread modes)"

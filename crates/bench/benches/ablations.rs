@@ -1,6 +1,6 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! - SPARQL planner: cost-based vs. greedy reordering vs. author order;
+//! - SPARQL planner: cost-based vs. author order;
 //! - reasoner schema-closure materialization on vs. off;
 //! - explanation-pipeline cost split: assemble vs. materialize vs. query.
 
@@ -22,8 +22,8 @@ fn bench_bgp_reordering(c: &mut Criterion) {
         .expect("materialize");
 
     // Written so author order hits a cartesian product: the first two
-    // patterns share no variable, and only the third connects them. Both
-    // planners pick the connecting pattern second instead.
+    // patterns share no variable, and only the third connects them. The
+    // cost-based planner picks the connecting pattern second instead.
     let q = format!(
         "{}SELECT ?r ?i ?s WHERE {{\n\
            ?r food:calories ?c .\n\
@@ -38,7 +38,6 @@ fn bench_bgp_reordering(c: &mut Criterion) {
     group.sample_size(20);
     for (label, planner) in [
         ("cost_based", Planner::CostBased),
-        ("greedy_reorder", Planner::Greedy),
         ("author_order", Planner::Off),
     ] {
         let opts = QueryOptions {

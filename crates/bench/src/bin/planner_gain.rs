@@ -5,14 +5,10 @@
 //! tightly interleaves the two arms (drift lands on both alike) and
 //! reports the median of per-round ratios.
 //!
-//! Two experiments:
-//!  1. CQ1–CQ3 explanations, cost-based (plan cache included — the
-//!     production hot path) vs. greedy reordering. The contract is
-//!     "planned no slower than greedy".
-//!  2. An adversarially-authored BGP (the first two patterns share no
-//!     variable, so author order opens with a cartesian product) over
-//!     the synthetic KG: cost-based vs. author order (contract: ≥ 2×
-//!     faster) and vs. greedy.
+//! The experiment: an adversarially-authored BGP (the first two
+//! patterns share no variable, so author order opens with a cartesian
+//! product) over the synthetic KG, cost-based vs. author order
+//! (contract: ≥ 2× faster).
 //!
 //! Run with `cargo run --release -p feo-bench --bin planner_gain`;
 //! `--smoke` shrinks the rounds for CI.
@@ -21,7 +17,6 @@ use std::time::{Duration, Instant};
 
 use feo_bench::synthetic_fixture;
 use feo_core::ecosystem::assemble;
-use feo_core::{all_scenarios, EngineBase, ExplainOptions, Question, Scenario};
 use feo_ontology::ns::sparql_prologue;
 use feo_owl::Reasoner;
 use feo_rdf::Graph;
@@ -73,38 +68,6 @@ fn paired_ratio(params: &Params, mut run: impl FnMut(bool) -> Duration) -> f64 {
     median(ratios)
 }
 
-fn one_explain(base: &EngineBase, question: &Question, planner: Planner) -> Duration {
-    let opts = ExplainOptions {
-        planner,
-        ..Default::default()
-    };
-    let started = Instant::now();
-    std::hint::black_box(base.explain(question, &opts).expect("happy path explains"));
-    started.elapsed()
-}
-
-/// planned/greedy ratio for one scenario's competency question.
-fn measure_explain(scenario: &Scenario, params: &Params) -> f64 {
-    let base = EngineBase::new(
-        scenario.kg(),
-        scenario.user.clone(),
-        scenario.context.clone(),
-    )
-    .expect("consistent");
-    for _ in 0..params.warmup {
-        one_explain(&base, &scenario.question, Planner::CostBased);
-        one_explain(&base, &scenario.question, Planner::Greedy);
-    }
-    paired_ratio(params, |planned| {
-        let planner = if planned {
-            Planner::CostBased
-        } else {
-            Planner::Greedy
-        };
-        one_explain(&base, &scenario.question, planner)
-    })
-}
-
 fn one_query(g: &Graph, q: &str, planner: Planner) -> Duration {
     let opts = QueryOptions {
         planner,
@@ -134,18 +97,8 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
 
-    println!("  CQ explanations, cost-based (with plan cache) vs greedy:");
-    for scenario in all_scenarios() {
-        let label = scenario.name.split(' ').next().unwrap_or("cq");
-        let ratio = measure_explain(&scenario, &params);
-        println!(
-            "    {label}: planned/greedy = {ratio:.4} ({:+.2}%)",
-            (ratio - 1.0) * 100.0
-        );
-    }
-
     // The ablation query from DESIGN.md: author order opens with a
-    // cartesian product; both planners move the connecting pattern up.
+    // cartesian product; the planner moves the connecting pattern up.
     let (kg, user, ctx) = synthetic_fixture(200);
     let mut g = assemble(&kg, &user, &ctx);
     Reasoner::new()
@@ -166,16 +119,5 @@ fn main() {
     println!(
         "    planned/author_order = {vs_author:.4} ({:.1}x speedup)",
         1.0 / vs_author
-    );
-    let vs_greedy = measure_query(
-        &g,
-        &adversarial,
-        Planner::CostBased,
-        Planner::Greedy,
-        &params,
-    );
-    println!(
-        "    planned/greedy = {vs_greedy:.4} ({:+.2}%)",
-        (vs_greedy - 1.0) * 100.0
     );
 }

@@ -505,17 +505,6 @@ impl EngineBase {
         self.commit_labeled(label, spill, delta, inference)
     }
 
-    /// Deprecated forerunner of [`EngineBase::commit`]: same delta
-    /// contract, but the epoch id was discarded and historical epochs
-    /// were unreachable.
-    #[deprecated(
-        note = "use `commit` — deltas now append to the epoch ledger and return an \
-                         `EpochId`; old epochs stay addressable via `at_epoch`"
-    )]
-    pub fn absorb(&mut self, spill: Vec<Term>, delta: Vec<IdTriple>, inference: InferenceResult) {
-        let _ = self.commit(spill, delta, inference);
-    }
-
     /// Hit/miss counters and head epoch of the epoch-keyed plan cache
     /// shared by this base's sessions.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
@@ -940,16 +929,6 @@ impl EngineBase {
         self.session().explain(question, opts)
     }
 
-    /// Deprecated form of [`EngineBase::explain`] with a guard.
-    #[deprecated(note = "use `explain(question, &ExplainOptions::guarded(guard))`")]
-    pub fn explain_guarded(
-        &self,
-        question: &Question,
-        guard: &Guard,
-    ) -> Result<Explanation, EngineError> {
-        self.explain(question, &ExplainOptions::guarded(guard))
-    }
-
     /// Answers a batch of questions under one shared [`Budget`],
     /// degrading gracefully when it trips.
     ///
@@ -1195,16 +1174,6 @@ impl<'a> Session<'a> {
     /// [`ExplanationEngine`] to commit the delta as a ledger epoch.
     pub fn into_parts(self) -> (Overlay<LedgerView<'a>>, InferenceResult) {
         (self.overlay, self.inference)
-    }
-
-    /// Deprecated form of [`Session::explain`] with a guard.
-    #[deprecated(note = "use `explain(question, &ExplainOptions::guarded(guard))`")]
-    pub fn explain_guarded(
-        &mut self,
-        question: &Question,
-        guard: &'a Guard,
-    ) -> Result<Explanation, EngineError> {
-        self.explain(question, &ExplainOptions::guarded(guard))
     }
 
     /// Evaluates a competency query over `view`, under the session guard

@@ -292,51 +292,10 @@ impl Reasoner {
         settle(engine.run())
     }
 
-    /// Deprecated form of [`Reasoner::materialize`] with a guard.
-    #[deprecated(note = "use `materialize(graph, &MaterializeOptions::guarded(guard))`")]
-    pub fn materialize_guarded(
-        &self,
-        graph: &mut (impl GraphStore + Sync),
-        guard: &Guard,
-    ) -> Result<InferenceResult, ReasonerError> {
-        self.materialize(graph, &MaterializeOptions::guarded(guard))
-    }
-
     /// Extracts the graph's axioms and compiles them into reusable rule
     /// tables (see [`CompiledRules`]).
     pub fn compile(&self, graph: &mut impl GraphStore) -> CompiledRules {
         CompiledRules::compile(graph)
-    }
-
-    /// Deprecated form of [`Reasoner::materialize`] with precompiled
-    /// rules.
-    #[deprecated(note = "use `materialize(graph, &MaterializeOptions::with_rules(rules))`")]
-    pub fn materialize_with(
-        &self,
-        graph: &mut (impl GraphStore + Sync),
-        rules: &CompiledRules,
-    ) -> InferenceResult {
-        self.materialize(graph, &MaterializeOptions::with_rules(rules))
-            .unwrap_or_else(|e| e.into_partial())
-    }
-
-    /// Deprecated form of [`Reasoner::materialize`] with both rules and
-    /// a guard.
-    #[deprecated(note = "use `materialize` with `MaterializeOptions { guard, rules }`")]
-    pub fn materialize_with_guarded(
-        &self,
-        graph: &mut (impl GraphStore + Sync),
-        rules: &CompiledRules,
-        guard: &Guard,
-    ) -> Result<InferenceResult, ReasonerError> {
-        self.materialize(
-            graph,
-            &MaterializeOptions {
-                guard: Some(guard),
-                rules: Some(rules),
-                ..Default::default()
-            },
-        )
     }
 
     /// Semi-naïve incremental re-closure of an overlay whose base is
@@ -377,24 +336,6 @@ impl Reasoner {
         engine.guard = opts.guard;
         engine.workers = opts.parallelism.workers();
         settle(engine.run_delta(&seed))
-    }
-
-    /// Deprecated form of [`Reasoner::materialize_delta`] with a guard.
-    #[deprecated(note = "use `materialize_delta` with `MaterializeOptions { guard, rules }`")]
-    pub fn materialize_delta_guarded<B: GraphView + Sync>(
-        &self,
-        overlay: &mut Overlay<B>,
-        rules: &CompiledRules,
-        guard: &Guard,
-    ) -> Result<InferenceResult, ReasonerError> {
-        self.materialize_delta(
-            overlay,
-            &MaterializeOptions {
-                guard: Some(guard),
-                rules: Some(rules),
-                ..Default::default()
-            },
-        )
     }
 }
 

@@ -35,6 +35,7 @@ pub use store::{DiskStore, OpenedStore};
 pub use wal::{WalRecord, WalReplay};
 
 use std::fmt;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// The on-disk format version this build reads and writes. Bumped on
@@ -126,6 +127,20 @@ impl Default for OpenOptions {
     }
 }
 
+/// Writes `bytes` as `path`, crash-safely: they land in `<path>.tmp`
+/// through one handle that is fsynced before the rename publishes them,
+/// so a crash leaves the old file or none, never a torn one. Every step
+/// fails with a typed [`StoreError::Io`].
+pub(crate) fn write_durable(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    let tmp = path.with_extension("tmp");
+    let mut f = std::fs::File::create(&tmp).map_err(|e| StoreError::io("create", &tmp, e))?;
+    f.write_all(bytes)
+        .map_err(|e| StoreError::io("write", &tmp, e))?;
+    f.sync_all().map_err(|e| StoreError::io("fsync", &tmp, e))?;
+    drop(f);
+    std::fs::rename(&tmp, path).map_err(|e| StoreError::io("rename", path, e))
+}
+
 // FNV-1a — the same hand-rolled constants the ledger chain uses
 // (`crate::ledger`); file checksums must not depend on the std hasher's
 // per-process seed.
@@ -140,4 +155,37 @@ pub(crate) fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn write_durable_replaces_whole_files_and_types_its_errors() {
+        let dir = std::env::temp_dir().join(format!("feo-write-durable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("file.feo");
+        write_durable(&path, b"first").expect("writes");
+        write_durable(&path, b"second").expect("replaces");
+        assert_eq!(std::fs::read(&path).expect("reads back"), b"second");
+        assert!(
+            !dir.join("file.tmp").exists(),
+            "the tmp file is renamed away"
+        );
+
+        // A target directory that does not exist fails at the first
+        // step with the tmp path it tried to create.
+        let missing = dir.join("absent").join("file.feo");
+        match write_durable(&missing, b"x") {
+            Err(StoreError::Io { op, path, .. }) => {
+                assert_eq!(op, "create");
+                assert_eq!(path, dir.join("absent").join("file.tmp"));
+            }
+            other => panic!("expected a typed Io error, got {other:?}"),
+        }
+        assert!(!missing.exists());
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
 }

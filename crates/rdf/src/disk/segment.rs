@@ -40,7 +40,7 @@ use std::sync::OnceLock;
 
 use super::codec;
 use super::mmap::{map_file, MapData};
-use super::{fnv_bytes, StoreError, FNV_OFFSET, FORMAT_VERSION};
+use super::{fnv_bytes, write_durable, StoreError, FNV_OFFSET, FORMAT_VERSION};
 use crate::graph::IdTriple;
 use crate::intern::TermId;
 use crate::run::{RunCursor, RunSpec};
@@ -213,23 +213,16 @@ fn segment_bytes<V: GraphView + ?Sized>(
     out
 }
 
-/// Writes `view` as a segment file at `path`, crash-safely: the bytes
-/// land in `<path>.tmp` first, are fsynced, and only then renamed over
-/// `path` — a crash mid-write leaves either the old file or none.
+/// Writes `view` as a segment file at `path`, crash-safely (see
+/// [`write_durable`]): a crash mid-write leaves either the old file or
+/// none.
 pub fn write_segment<V: GraphView + ?Sized>(
     path: &Path,
     view: &V,
     stats: &GraphStats,
     base_inferred: u64,
 ) -> Result<(), StoreError> {
-    let bytes = segment_bytes(view, stats, base_inferred);
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &bytes).map_err(|e| StoreError::io("write", &tmp, e))?;
-    if let Ok(f) = std::fs::File::open(&tmp) {
-        f.sync_all().map_err(|e| StoreError::io("fsync", &tmp, e))?;
-    }
-    std::fs::rename(&tmp, path).map_err(|e| StoreError::io("rename", path, e))?;
-    Ok(())
+    write_durable(path, &segment_bytes(view, stats, base_inferred))
 }
 
 // ---- Segment ---------------------------------------------------------

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use super::segment::{write_segment, Segment};
 use super::wal::{self, WalRecord};
-use super::{OpenOptions, StoreError, FORMAT_VERSION};
+use super::{write_durable, OpenOptions, StoreError, FORMAT_VERSION};
 use crate::stats::GraphStats;
 use crate::view::GraphView;
 
@@ -75,15 +75,8 @@ fn read_manifest(dir: &Path) -> Result<u64, StoreError> {
 }
 
 fn write_manifest(dir: &Path, index: u64) -> Result<(), StoreError> {
-    let path = manifest_path(dir);
-    let tmp = dir.join("MANIFEST.tmp");
     let body = format!("feo-store {FORMAT_VERSION}\n{index}\n");
-    std::fs::write(&tmp, body).map_err(|e| StoreError::io("write", &tmp, e))?;
-    if let Ok(f) = std::fs::File::open(&tmp) {
-        f.sync_all().map_err(|e| StoreError::io("fsync", &tmp, e))?;
-    }
-    std::fs::rename(&tmp, &path).map_err(|e| StoreError::io("rename", &path, e))?;
-    Ok(())
+    write_durable(&manifest_path(dir), body.as_bytes())
 }
 
 impl DiskStore {
@@ -130,8 +123,7 @@ impl DiskStore {
         for rec in records {
             wal_bytes.extend_from_slice(&wal::encode_record(rec));
         }
-        let wal_path = store.wal_path();
-        std::fs::write(&wal_path, &wal_bytes).map_err(|e| StoreError::io("write", &wal_path, e))?;
+        write_durable(&store.wal_path(), &wal_bytes)?;
         write_manifest(dir, index)?;
         if let Some(old_index) = old {
             let stale = DiskStore {
@@ -217,9 +209,7 @@ impl DiskStore {
             index: self.index + 1,
         };
         write_segment(&next.segment_path(), view, stats, base_inferred)?;
-        let wal_path = next.wal_path();
-        std::fs::write(&wal_path, wal::header())
-            .map_err(|e| StoreError::io("write", &wal_path, e))?;
+        write_durable(&next.wal_path(), &wal::header())?;
         write_manifest(&self.dir, next.index)?;
         let _ = std::fs::remove_file(self.segment_path());
         let _ = std::fs::remove_file(self.wal_path());

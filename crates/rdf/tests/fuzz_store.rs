@@ -6,6 +6,7 @@
 //! smuggle a wrong record past the checksums.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use feo_rdf::disk::{wal, Segment};
 use feo_rdf::{DiskStore, StoreError, Term, WalRecord};
@@ -45,8 +46,15 @@ fn sample_records() -> Vec<WalRecord> {
 
 /// Valid on-disk bytes to mutate: one segment file, one WAL file.
 fn valid_files() -> (Vec<u8>, Vec<u8>) {
+    // One directory per call: tests run on parallel threads, and one
+    // call's cleanup must not delete another's files mid-save.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
     let g = sample_graph();
-    let dir = std::env::temp_dir().join(format!("feo-fuzz-seed-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "feo-fuzz-seed-{}-{}",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let store = DiskStore::save(&dir, &g, g.stats(), 1, &sample_records()).expect("save");
     let seg = std::fs::read(store.segment_path()).expect("segment readable");

@@ -19,6 +19,9 @@ pub enum SparqlError {
     /// An execution budget (solutions, deadline, cancellation) tripped
     /// during evaluation under a [`feo_rdf::governor::Guard`].
     Exhausted(Exhausted),
+    /// The [`crate::Plan`] handed to execution does not cover the query:
+    /// it was compiled from a different query.
+    PlanMismatch,
 }
 
 impl SparqlError {
@@ -53,6 +56,7 @@ impl fmt::Display for SparqlError {
             } => write!(f, "sparql parse error at {line}:{column}: {message}"),
             SparqlError::Eval(m) => write!(f, "sparql evaluation error: {m}"),
             SparqlError::Exhausted(e) => write!(f, "sparql evaluation stopped: {e}"),
+            SparqlError::PlanMismatch => write!(f, "sparql plan does not cover its query"),
         }
     }
 }

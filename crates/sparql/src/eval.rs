@@ -4,8 +4,9 @@
 //! bindings) flowing through group-pattern elements, matching the SPARQL
 //! algebra: triples blocks join, OPTIONAL left-joins, UNION concatenates,
 //! MINUS anti-joins on shared domains, FILTERs apply at group scope, BIND
-//! extends, VALUES joins an inline table. BGPs are greedily reordered by
-//! bound-position count before matching.
+//! extends, VALUES joins an inline table. Every BGP — EXISTS bodies
+//! included — runs the join order and operators of a compiled
+//! [`Plan`]; there is no other execution path.
 //!
 //! Evaluation is read-only: the input is any [`feo_rdf::GraphView`]
 //! (a `&Graph`, an [`feo_rdf::Overlay`] session, or the `&mut Graph`
@@ -27,8 +28,8 @@ use crate::ast::*;
 use crate::error::{Result, SparqlError};
 use crate::parser::parse_query;
 use crate::plan::{
-    plan_query, BgpPlan, ElementPlan, GroupPlan, JoinAlgo, Plan, Planner, QueryOptions,
-    HASH_JOIN_MIN_INPUT, PARALLEL_MIN_INPUT,
+    compile, BgpPlan, ElementPlan, GroupPlan, JoinAlgo, Plan, QueryOptions, HASH_JOIN_MIN_INPUT,
+    PARALLEL_MIN_INPUT,
 };
 use crate::results::{QueryResult, SolutionTable};
 use crate::value::{
@@ -69,37 +70,6 @@ pub fn join_counters() -> JoinCounters {
     }
 }
 
-/// Evaluator tuning knobs for the deprecated `*_with` entry points.
-#[deprecated(note = "use `QueryOptions { planner, .. }` with `query` / `execute`")]
-#[derive(Debug, Clone)]
-pub struct ExecOptions {
-    /// Greedily reorder BGP triple patterns by bound-position count
-    /// before matching. Disabling evaluates patterns in author order —
-    /// the ablation baseline.
-    pub reorder_bgp: bool,
-}
-
-#[allow(deprecated)]
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions { reorder_bgp: true }
-    }
-}
-
-#[allow(deprecated)]
-impl ExecOptions {
-    /// The planner the legacy knob selected: greedy reordering or
-    /// author order. The cost-based planner did not exist behind this
-    /// options type.
-    fn planner(&self) -> Planner {
-        if self.reorder_bgp {
-            Planner::Greedy
-        } else {
-            Planner::Off
-        }
-    }
-}
-
 /// Parses and executes `text` against any [`GraphView`].
 ///
 /// The one SPARQL entry point: [`QueryOptions`] carries the execution
@@ -128,114 +98,42 @@ pub fn query<G: GraphView + Sync>(
 
 /// Executes a parsed query (see [`query`] for the options contract).
 ///
-/// With [`Planner::CostBased`] the query is compiled to a [`Plan`] from
-/// the view's statistics before any row flows; callers that reuse one
-/// plan across many executions (the engine's plan cache) should compile
-/// once with [`plan_query`] and call [`execute_prepared`].
+/// The query is compiled to a [`Plan`] for `opts.planner` before any
+/// row flows; callers that reuse one plan across many executions (the
+/// engine's plan cache) should compile once with [`plan_query`] and
+/// call [`execute_prepared`].
 pub fn execute<G: GraphView + Sync>(
     graph: G,
     q: &Query,
     opts: &QueryOptions,
 ) -> Result<QueryResult> {
-    if opts.explain || opts.planner == Planner::CostBased {
-        let plan = plan_query(&graph, q);
-        if opts.explain {
-            return Ok(QueryResult::Plan(plan.render(q, opts.planner)));
-        }
-        return execute_inner(graph, q, opts, Some(&plan));
-    }
-    execute_inner(graph, q, opts, None)
+    let plan = compile(&graph, q, opts.planner);
+    execute_prepared(graph, q, &plan, opts)
 }
 
 /// Executes a parsed query with a previously compiled [`Plan`].
 ///
 /// The plan must come from [`plan_query`] on the same query; a plan
-/// whose shape does not match degrades to greedy ordering for the
-/// mismatched nodes rather than misevaluating.
+/// that does not cover `q` fails with [`SparqlError::PlanMismatch`].
 pub fn execute_prepared<G: GraphView + Sync>(
     graph: G,
     q: &Query,
     plan: &Plan,
     opts: &QueryOptions,
 ) -> Result<QueryResult> {
-    if opts.explain {
-        return Ok(QueryResult::Plan(plan.render(q, opts.planner)));
-    }
-    execute_inner(graph, q, opts, Some(plan))
-}
-
-/// Parses and executes with the legacy options struct.
-#[deprecated(note = "use `query(graph, text, &QueryOptions { planner, .. })`")]
-#[allow(deprecated)]
-pub fn query_with<G: GraphView + Sync>(
-    graph: G,
-    text: &str,
-    opts: &ExecOptions,
-) -> Result<QueryResult> {
-    let q = parse_query(text)?;
-    execute_inner(
-        graph,
-        &q,
-        &QueryOptions {
-            planner: opts.planner(),
-            ..QueryOptions::default()
-        },
-        None,
-    )
-}
-
-/// Executes a parsed query with the legacy options struct.
-#[deprecated(note = "use `execute(graph, q, &QueryOptions { planner, .. })`")]
-#[allow(deprecated)]
-pub fn execute_with<G: GraphView + Sync>(
-    graph: G,
-    q: &Query,
-    opts: &ExecOptions,
-) -> Result<QueryResult> {
-    execute_inner(
-        graph,
-        q,
-        &QueryOptions {
-            planner: opts.planner(),
-            ..QueryOptions::default()
-        },
-        None,
-    )
-}
-
-/// Parses and executes under an execution [`Guard`].
-#[deprecated(note = "use `query(graph, text, &QueryOptions::guarded(guard))`")]
-pub fn query_guarded<G: GraphView + Sync>(
-    graph: G,
-    text: &str,
-    guard: &Guard,
-) -> Result<QueryResult> {
-    query(graph, text, &QueryOptions::guarded(guard))
-}
-
-/// Executes a parsed query under an execution [`Guard`].
-#[deprecated(note = "use `execute(graph, q, &QueryOptions::guarded(guard))`")]
-pub fn execute_guarded<G: GraphView + Sync>(
-    graph: G,
-    q: &Query,
-    guard: &Guard,
-) -> Result<QueryResult> {
-    execute(graph, q, &QueryOptions::guarded(guard))
-}
-
-fn execute_inner<G: GraphView + Sync>(
-    graph: G,
-    q: &Query,
-    opts: &QueryOptions,
-    plan: Option<&Plan>,
-) -> Result<QueryResult> {
     let mut vars = VarTable::default();
     register_group_vars(&q.where_pattern, &mut vars);
     register_modifier_vars(q, &mut vars);
+    if !plan.covers(q, &vars) {
+        return Err(SparqlError::PlanMismatch);
+    }
+    if opts.explain {
+        return Ok(QueryResult::Plan(plan.render(q, opts.planner)));
+    }
     let mut ctx = Ctx {
         g: Overlay::new(graph),
         vars,
-        planner: opts.planner,
+        exists: &plan.exists,
         force: opts.force_join,
         guard: opts.guard,
         tripped: Cell::new(None),
@@ -245,7 +143,7 @@ fn execute_inner<G: GraphView + Sync>(
     let rows = ctx.eval_group(
         &q.where_pattern,
         vec![vec![None; ctx.vars.len()]],
-        plan.map(|p| &p.root),
+        &plan.root,
     )?;
 
     let result = match &q.form {
@@ -273,6 +171,9 @@ fn execute_inner<G: GraphView + Sync>(
 pub(crate) struct VarTable {
     names: Vec<String>,
     index: HashMap<String, usize>,
+    /// Addresses of the query's EXISTS bodies in pre-order: a body's
+    /// position here is the index of its plan in [`Plan::exists`].
+    exists: Vec<usize>,
 }
 
 impl VarTable {
@@ -292,6 +193,16 @@ impl VarTable {
 
     pub(crate) fn get(&self, name: &str) -> Option<usize> {
         self.index.get(name).copied()
+    }
+
+    /// Pre-order position of `body` among the query's EXISTS bodies.
+    pub(crate) fn exists_index(&self, body: &GroupPattern) -> Option<usize> {
+        let addr = body as *const GroupPattern as usize;
+        self.exists.iter().position(|&a| a == addr)
+    }
+
+    pub(crate) fn exists_len(&self) -> usize {
+        self.exists.len()
     }
 }
 
@@ -362,7 +273,12 @@ fn register_expr_vars(e: &Expr, vars: &mut VarTable) {
                 register_expr_vars(a, vars);
             }
         }
-        Expr::Exists(g, _) => register_group_vars(g, vars),
+        Expr::Exists(g, _) => {
+            if vars.exists_index(g).is_none() {
+                vars.exists.push(g as *const GroupPattern as usize);
+            }
+            register_group_vars(g, vars)
+        }
         Expr::Aggregate(agg) => {
             if let Some(inner) = &agg.expr {
                 register_expr_vars(inner, vars);
@@ -420,9 +336,9 @@ struct Ctx<'a, G: GraphView> {
     /// preserves the "unknown constant finds nothing" semantics.
     g: Overlay<G>,
     vars: VarTable,
-    /// Fallback BGP strategy when no plan step applies (plan shape
-    /// mismatch, EXISTS subgroups, the non-cost-based planners).
-    planner: Planner,
+    /// Plans of the query's EXISTS bodies, indexed as
+    /// [`VarTable::exists_index`] numbers them.
+    exists: &'a [GroupPlan],
     /// Join-algorithm override from [`QueryOptions::force_join`]: swaps
     /// the physical operator per planned step without touching join
     /// order (results are byte-identical under every algorithm).
@@ -484,43 +400,28 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
 
     // ---- group patterns ------------------------------------------------
 
-    /// Evaluates one group pattern. `plan` (when present) is walked in
-    /// lockstep with `group.elements`: element `i` consults plan node
-    /// `i`, recursing with the matching subplan. A shape mismatch at any
-    /// node simply drops the plan for that node — evaluation stays
-    /// correct, only the precomputed order is lost.
+    /// Evaluates one group pattern, walking `plan` in lockstep with
+    /// `group.elements`: element `i` runs plan node `i`, recursing with
+    /// the matching subplan.
     fn eval_group(
         &mut self,
         group: &GroupPattern,
         input: Vec<Binding>,
-        plan: Option<&GroupPlan>,
+        plan: &GroupPlan,
     ) -> Result<Vec<Binding>> {
         let mut rows = input;
         let mut filters: Vec<&Expr> = Vec::new();
-        for (i, el) in group.elements.iter().enumerate() {
+        for (el, node) in group.elements.iter().zip(&plan.elements) {
             self.checkpoint()?;
-            let sub = plan.and_then(|p| p.elements.get(i));
-            match el {
-                GroupElement::Filter(e) => filters.push(e),
-                GroupElement::Triples(ts) => {
-                    let bp = match sub {
-                        Some(ElementPlan::Bgp(bp)) => Some(bp),
-                        _ => None,
-                    };
+            match (el, node) {
+                (GroupElement::Filter(e), _) => filters.push(e),
+                (GroupElement::Triples(ts), ElementPlan::Bgp(bp)) => {
                     rows = self.eval_bgp(ts, rows, bp)?;
                 }
-                GroupElement::Group(inner) => {
-                    let gp = match sub {
-                        Some(ElementPlan::Group(gp)) => Some(gp),
-                        _ => None,
-                    };
+                (GroupElement::Group(inner), ElementPlan::Group(gp)) => {
                     rows = self.eval_group(inner, rows, gp)?;
                 }
-                GroupElement::Optional(inner) => {
-                    let gp = match sub {
-                        Some(ElementPlan::Optional(gp)) => Some(gp),
-                        _ => None,
-                    };
+                (GroupElement::Optional(inner), ElementPlan::Optional(gp)) => {
                     let mut out = Vec::new();
                     for b in rows {
                         let extended = self.eval_group(inner, vec![b.clone()], gp)?;
@@ -532,23 +433,14 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
                     }
                     rows = out;
                 }
-                GroupElement::Union(arms) => {
-                    let arm_plans = match sub {
-                        Some(ElementPlan::Union(ps)) => Some(ps),
-                        _ => None,
-                    };
+                (GroupElement::Union(arms), ElementPlan::Union(arm_plans)) => {
                     let mut out = Vec::new();
-                    for (j, arm) in arms.iter().enumerate() {
-                        let ap = arm_plans.and_then(|ps| ps.get(j));
+                    for (arm, ap) in arms.iter().zip(arm_plans) {
                         out.extend(self.eval_group(arm, rows.clone(), ap)?);
                     }
                     rows = out;
                 }
-                GroupElement::Minus(inner) => {
-                    let gp = match sub {
-                        Some(ElementPlan::Minus(gp)) => Some(gp),
-                        _ => None,
-                    };
+                (GroupElement::Minus(inner), ElementPlan::Minus(gp)) => {
                     let empty = vec![vec![None; self.vars.len()]];
                     let rhs = self.eval_group(inner, empty, gp)?;
                     rows.retain(|b| {
@@ -566,7 +458,7 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
                         })
                     });
                 }
-                GroupElement::Bind(e, v) => {
+                (GroupElement::Bind(e, v), _) => {
                     let slot = self
                         .vars
                         .get(v)
@@ -585,7 +477,7 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
                     }
                     rows = out;
                 }
-                GroupElement::Values(vb) => {
+                (GroupElement::Values(vb), _) => {
                     let slots: Vec<usize> = vb
                         .vars
                         .iter()
@@ -629,6 +521,8 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
                     }
                     rows = out;
                 }
+                // `Plan::covers` rules this out before evaluation starts.
+                _ => return Err(SparqlError::PlanMismatch),
             }
         }
         for f in filters {
@@ -653,201 +547,91 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
 
     // ---- BGP -------------------------------------------------------------
 
+    /// Executes `plan`'s join order with each step's join algorithm.
+    /// Consecutive steps sharing a star-group id run as one fused
+    /// leapfrog intersection; `force_join` swaps operators without
+    /// touching order.
     fn eval_bgp(
         &mut self,
         patterns: &[TriplePattern],
         input: Vec<Binding>,
-        plan: Option<&BgpPlan>,
+        plan: &BgpPlan,
     ) -> Result<Vec<Binding>> {
-        // Planned path: execute the precomputed order with each step's
-        // join-algorithm choice. Consecutive steps sharing a star-group
-        // id run as one fused leapfrog intersection; `force_join` swaps
-        // operators without touching order. A malformed plan (wrong
-        // length, index out of range, duplicate steps) falls through to
-        // the row-time strategies below.
-        if let Some(bp) = plan {
-            if bgp_plan_matches(bp, patterns.len()) {
-                let mut rows = input;
-                let mut i = 0;
-                while i < bp.steps.len() {
-                    let step = &bp.steps[i];
-                    // Planner-marked parallel steps fan out only when a
-                    // pool is configured and the input side is wide
-                    // enough to amortize worker startup.
-                    let par = self.workers > 1 && step.parallel && rows.len() >= PARALLEL_MIN_INPUT;
-                    if let Some(gid) = step.star {
-                        let mut j = i + 1;
-                        while j < bp.steps.len() && bp.steps[j].star == Some(gid) {
-                            j += 1;
-                        }
-                        // A forced non-leapfrog algorithm splits the
-                        // group into its members; each then executes
-                        // below under the forced operator.
-                        if j - i >= 2 && matches!(self.force, None | Some(JoinAlgo::Leapfrog)) {
-                            let members: Vec<&TriplePattern> = bp.steps[i..j]
-                                .iter()
-                                .map(|s| &patterns[s.pattern])
-                                .collect();
-                            rows = self.match_star_leapfrog(&members, rows, par)?;
-                            if rows.is_empty() {
-                                break;
-                            }
-                            i = j;
-                            continue;
-                        }
-                    }
-                    let tp = &patterns[step.pattern];
-                    // Forcing an algorithm bypasses the input-width gate
-                    // so differential tests exercise the operator on any
-                    // row count; the planner's own choices keep it.
-                    let (algo, forced) = match self.force {
-                        None | Some(JoinAlgo::Leapfrog) => {
-                            // A star member reaching here has no group
-                            // to intersect with; nested is the per-step
-                            // equivalent.
-                            let a = match step.algo {
-                                JoinAlgo::Leapfrog => JoinAlgo::Nested,
-                                a => a,
-                            };
-                            (a, false)
-                        }
-                        Some(a) => (a, true),
-                    };
-                    let wide = forced || rows.len() >= HASH_JOIN_MIN_INPUT;
-                    rows = match algo {
-                        JoinAlgo::Hash if wide => {
-                            if par {
-                                self.match_triple_pattern_hash_par(tp, rows)?
-                            } else {
-                                self.match_triple_pattern_hash(tp, rows)?
-                            }
-                        }
-                        JoinAlgo::Merge if wide => {
-                            if par {
-                                self.match_triple_pattern_merge_par(tp, rows)?
-                            } else {
-                                self.match_triple_pattern_merge(tp, rows)?
-                            }
-                        }
-                        _ => {
-                            if par {
-                                self.match_triple_pattern_par(tp, rows)?
-                            } else {
-                                self.match_triple_pattern(tp, rows)?
-                            }
-                        }
-                    };
+        let mut rows = input;
+        let mut i = 0;
+        while i < plan.steps.len() {
+            let step = &plan.steps[i];
+            // Planner-marked parallel steps fan out only when a pool is
+            // configured and the input side is wide enough to amortize
+            // worker startup.
+            let par = self.workers > 1 && step.parallel && rows.len() >= PARALLEL_MIN_INPUT;
+            if let Some(gid) = step.star {
+                let mut j = i + 1;
+                while j < plan.steps.len() && plan.steps[j].star == Some(gid) {
+                    j += 1;
+                }
+                // A forced non-leapfrog algorithm splits the group into
+                // its members; each then executes below under the forced
+                // operator.
+                if j - i >= 2 && matches!(self.force, None | Some(JoinAlgo::Leapfrog)) {
+                    let members: Vec<&TriplePattern> = plan.steps[i..j]
+                        .iter()
+                        .map(|s| &patterns[s.pattern])
+                        .collect();
+                    rows = self.match_star_leapfrog(&members, rows, par)?;
                     if rows.is_empty() {
                         break;
                     }
-                    i += 1;
-                }
-                return Ok(rows);
-            }
-        }
-        if self.planner == Planner::Off {
-            let mut rows = input;
-            for tp in patterns {
-                rows = self.match_triple_pattern(tp, rows)?;
-                if rows.is_empty() {
-                    break;
+                    i = j;
+                    continue;
                 }
             }
-            return Ok(rows);
-        }
-        // Greedy static reorder: prefer patterns with most bound positions
-        // given the variables bound so far (constants always count).
-        let mut bound: HashSet<usize> = HashSet::new();
-        if let Some(first) = input.first() {
-            for (i, v) in first.iter().enumerate() {
-                if v.is_some() {
-                    bound.insert(i);
+            let tp = &patterns[step.pattern];
+            // Forcing an algorithm bypasses the input-width gate so
+            // differential tests exercise the operator on any row count;
+            // the planner's own choices keep it.
+            let (algo, forced) = match self.force {
+                None | Some(JoinAlgo::Leapfrog) => {
+                    // A star member reaching here has no group to
+                    // intersect with; nested is the per-step equivalent.
+                    let a = match step.algo {
+                        JoinAlgo::Leapfrog => JoinAlgo::Nested,
+                        a => a,
+                    };
+                    (a, false)
                 }
-            }
-        }
-        let mut remaining: Vec<&TriplePattern> = patterns.iter().collect();
-        let mut ordered: Vec<&TriplePattern> = Vec::with_capacity(remaining.len());
-        while !remaining.is_empty() {
-            // Strictly-greater keeps the first maximum, so ties resolve
-            // to author order and the solution sequence is deterministic.
-            let mut best_idx = 0;
-            let mut best_score = 0;
-            for (i, tp) in remaining.iter().enumerate() {
-                let score = self.pattern_selectivity(tp, &bound);
-                if i == 0 || score > best_score {
-                    best_idx = i;
-                    best_score = score;
+                Some(a) => (a, true),
+            };
+            let wide = forced || rows.len() >= HASH_JOIN_MIN_INPUT;
+            rows = match algo {
+                JoinAlgo::Hash if wide => {
+                    if par {
+                        self.match_triple_pattern_hash_par(tp, rows)?
+                    } else {
+                        self.match_triple_pattern_hash(tp, rows)?
+                    }
                 }
-            }
-            let tp = remaining.remove(best_idx);
-            for slot in self.pattern_var_slots(tp) {
-                bound.insert(slot);
-            }
-            ordered.push(tp);
-        }
-
-        let mut rows = input;
-        for tp in ordered {
-            rows = self.match_triple_pattern(tp, rows)?;
+                JoinAlgo::Merge if wide => {
+                    if par {
+                        self.match_triple_pattern_merge_par(tp, rows)?
+                    } else {
+                        self.match_triple_pattern_merge(tp, rows)?
+                    }
+                }
+                _ => {
+                    if par {
+                        self.match_triple_pattern_par(tp, rows)?
+                    } else {
+                        self.match_triple_pattern(tp, rows)?
+                    }
+                }
+            };
             if rows.is_empty() {
                 break;
             }
+            i += 1;
         }
         Ok(rows)
-    }
-
-    fn pattern_var_slots(&self, tp: &TriplePattern) -> Vec<usize> {
-        let mut out = Vec::new();
-        for t in [&tp.subject, &tp.object] {
-            match t {
-                TermPattern::Var(v) => out.extend(self.vars.get(v)),
-                TermPattern::Blank(l) => out.extend(self.vars.get(&format!("_:{l}"))),
-                _ => {}
-            }
-        }
-        if let Path::Var(v) = &tp.path {
-            out.extend(self.vars.get(v));
-        }
-        out
-    }
-
-    fn pattern_selectivity(&self, tp: &TriplePattern, bound: &HashSet<usize>) -> usize {
-        let mut score = 0;
-        let term_score = |t: &TermPattern| match t {
-            TermPattern::Var(v) => {
-                if self.vars.get(v).is_some_and(|s| bound.contains(&s)) {
-                    2
-                } else {
-                    0
-                }
-            }
-            TermPattern::Blank(l) => {
-                if self
-                    .vars
-                    .get(&format!("_:{l}"))
-                    .is_some_and(|s| bound.contains(&s))
-                {
-                    2
-                } else {
-                    0
-                }
-            }
-            _ => 3, // ground terms are most selective
-        };
-        score += term_score(&tp.subject);
-        score += term_score(&tp.object);
-        score += match &tp.path {
-            Path::Var(v) => {
-                if self.vars.get(v).is_some_and(|s| bound.contains(&s)) {
-                    2
-                } else {
-                    0
-                }
-            }
-            Path::Iri(_) => 3,
-            _ => 1, // complex paths: evaluate late unless endpoints help
-        };
-        score
     }
 
     fn match_triple_pattern(
@@ -1940,7 +1724,9 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
             }
             Expr::Call(builtin, args) => self.call(*builtin, args, b),
             Expr::Exists(group, negated) => {
-                let found = match self.eval_group(group, vec![b.clone()], None) {
+                let exists = self.exists;
+                let plan = self.vars.exists_index(group).and_then(|i| exists.get(i))?;
+                let found = match self.eval_group(group, vec![b.clone()], plan) {
                     Ok(rows) => !rows.is_empty(),
                     Err(_) => false,
                 };
@@ -2676,25 +2462,6 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
 
 /// Row-sort helper alias (descending flags per ORDER BY condition).
 type BoolMask = Vec<bool>;
-
-/// A plan is executable against `n` patterns when it covers each
-/// pattern exactly once.
-fn bgp_plan_matches(bp: &BgpPlan, n: usize) -> bool {
-    if bp.steps.len() != n {
-        return false;
-    }
-    let mut seen = vec![false; n];
-    for step in &bp.steps {
-        let Some(slot) = seen.get_mut(step.pattern) else {
-            return false;
-        };
-        if *slot {
-            return false;
-        }
-        *slot = true;
-    }
-    true
-}
 
 /// Binds `val` into `slot` (when the position is a variable), reporting
 /// false on a conflict with an existing binding — the shared-variable

@@ -6,8 +6,8 @@
 //!
 //! Pipeline: [`lexer`] → [`parser`] → cost-based planning ([`plan`]) →
 //! evaluation ([`eval`]) with solution sets. Supported: SELECT / ASK /
-//! CONSTRUCT, BGPs with statistics-driven join ordering (greedy and
-//! author-order fallbacks via [`Planner`]), OPTIONAL, UNION, MINUS,
+//! CONSTRUCT, BGPs with statistics-driven join ordering (author order
+//! via [`Planner::Off`]), OPTIONAL, UNION, MINUS,
 //! FILTER (incl. EXISTS / NOT EXISTS), BIND, VALUES, property paths
 //! (`^ / | * + ?` and negated sets), the builtin function library,
 //! GROUP BY with aggregates, HAVING, ORDER BY, DISTINCT / REDUCED,
@@ -46,11 +46,7 @@ pub mod results;
 pub mod value;
 
 pub use error::{Result, SparqlError};
-#[allow(deprecated)]
-pub use eval::{
-    execute, execute_guarded, execute_prepared, execute_with, join_counters, query, query_guarded,
-    query_with, ExecOptions, JoinCounters,
-};
+pub use eval::{execute, execute_prepared, join_counters, query, JoinCounters};
 pub use parser::parse_query;
 pub use plan::{plan_query, JoinAlgo, Plan, Planner, QueryOptions};
 pub use results::{QueryResult, SolutionTable};

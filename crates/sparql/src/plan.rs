@@ -1,4 +1,4 @@
-//! Cost-based query planning.
+//! Query planning.
 //!
 //! [`plan_query`] compiles a parsed [`Query`] into an explicit [`Plan`]
 //! before any row flows: per BGP it picks a join order by selectivity
@@ -7,9 +7,12 @@
 //! [`GraphView::class_instance_count`]), records which hexastore index
 //! the evaluator's dispatch will hit for each pattern, and marks steps
 //! whose build side is large enough that a hash join beats per-row
-//! B-tree range scans. The evaluator executes the plan verbatim instead
-//! of re-deriving an order on every call; [`feo-core`'s plan cache]
-//! reuses one plan across repeated questions on an unchanged snapshot.
+//! B-tree range scans. Every `EXISTS { … }` body is planned too, with
+//! the variables bound at its scope. The evaluator executes the plan
+//! verbatim — it has no other way to run a BGP — and rejects a plan
+//! that does not cover its query with [`SparqlError::PlanMismatch`];
+//! [`feo-core`'s plan cache] reuses one plan across repeated questions
+//! on an unchanged snapshot.
 //!
 //! Estimates are deliberately simple — uniform-distribution formulas
 //! over per-predicate triple / distinct-subject / distinct-object
@@ -17,6 +20,8 @@
 //! quality needs only the relative magnitudes to be right. Ties keep
 //! author order, so a plan is always deterministic for a given query
 //! and snapshot.
+//!
+//! [`SparqlError::PlanMismatch`]: crate::SparqlError::PlanMismatch
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -27,20 +32,19 @@ use feo_rdf::vocab::rdf;
 use feo_rdf::GraphView;
 
 use crate::ast::{
-    GroupElement, GroupPattern, LiteralPattern, Path, Query, TermPattern, TriplePattern,
+    Expr, GroupCondition, GroupElement, GroupPattern, LiteralPattern, Path, Projection,
+    ProjectionItem, Query, QueryForm, TermPattern, TriplePattern,
 };
 use crate::eval::{register_group_vars, register_modifier_vars, VarTable};
 
 /// Join-order strategy for BGP evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Planner {
-    /// Evaluate triple patterns in author order (the ablation baseline).
+    /// Author order, every step a nested-loop join on the calling
+    /// thread: the differential oracle and ablation baseline.
     Off,
-    /// Greedy bound-position reordering, decided per call while rows
-    /// flow — the pre-planner behavior.
-    Greedy,
     /// Compile a [`Plan`] up front from graph statistics: estimated
-    /// join order, index choice, and hash-join placement per BGP.
+    /// join order, index choice, and join-algorithm placement per BGP.
     #[default]
     CostBased,
 }
@@ -50,7 +54,6 @@ impl Planner {
     pub fn name(&self) -> &'static str {
         match self {
             Planner::Off => "off",
-            Planner::Greedy => "greedy",
             Planner::CostBased => "cost-based",
         }
     }
@@ -91,10 +94,8 @@ impl JoinAlgo {
     }
 }
 
-/// The one options struct accepted by [`crate::query`] / [`crate::execute`].
-///
-/// Replaces the previous `ExecOptions` + `*_guarded` duals: the guard,
-/// the planner choice, and EXPLAIN mode travel together.
+/// The one options struct accepted by [`crate::query`] / [`crate::execute`]:
+/// the guard, the planner choice, and EXPLAIN mode travel together.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryOptions<'a> {
     /// Execution governor: input-size cap on the query text, solution
@@ -158,12 +159,16 @@ impl IndexChoice {
 
 /// A compiled query plan, mirroring the query's group-pattern tree.
 ///
-/// The evaluator walks plan and AST in lockstep; a structural mismatch
-/// (a plan compiled from a different query) degrades to the greedy
-/// strategy for the mismatched node instead of misevaluating.
+/// The evaluator walks plan and AST in lockstep; executing a plan
+/// compiled from a different query fails with
+/// [`SparqlError::PlanMismatch`](crate::SparqlError::PlanMismatch).
 #[derive(Debug, Clone, Default)]
 pub struct Plan {
     pub root: GroupPlan,
+    /// One plan per `EXISTS { … }` body, indexed by the body's
+    /// pre-order position in the query (the order variable
+    /// registration walks it).
+    pub exists: Vec<GroupPlan>,
 }
 
 /// Plan node for one group pattern: one entry per group element.
@@ -182,7 +187,8 @@ pub enum ElementPlan {
     Optional(GroupPlan),
     Minus(GroupPlan),
     Union(Vec<GroupPlan>),
-    /// FILTER / BIND / VALUES — no planning decisions to record.
+    /// FILTER / BIND / VALUES — no join decisions of their own (EXISTS
+    /// bodies inside them live in [`Plan::exists`]).
     Leaf,
 }
 
@@ -235,177 +241,299 @@ pub(crate) const PARALLEL_EST_MIN: f64 = 256.0;
 /// worker startup, stay sequential even on a parallel-marked step.
 pub(crate) const PARALLEL_MIN_INPUT: usize = 128;
 
-/// Compiles `q` into a [`Plan`] using `view`'s statistics.
+/// Compiles `q` into a cost-based [`Plan`] using `view`'s statistics.
 pub fn plan_query<G: GraphView>(view: &G, q: &Query) -> Plan {
+    compile(view, q, Planner::CostBased)
+}
+
+/// Compiles `q` for `planner`: statistics-driven join orders and
+/// operators, or ([`Planner::Off`]) author order with every step a
+/// sequential nested-loop join.
+pub(crate) fn compile<G: GraphView>(view: &G, q: &Query, planner: Planner) -> Plan {
     let mut vars = VarTable::default();
     register_group_vars(&q.where_pattern, &mut vars);
     register_modifier_vars(q, &mut vars);
+    let mut planning = Planning {
+        view,
+        planner,
+        exists: vec![GroupPlan::default(); vars.exists_len()],
+        vars,
+    };
     let mut bound: HashSet<usize> = HashSet::new();
+    let root = planning.group(&q.where_pattern, &mut bound);
+    for e in modifier_exprs(q) {
+        planning.exists_in(e, &bound);
+    }
     Plan {
-        root: plan_group(view, &q.where_pattern, &vars, &mut bound),
+        root,
+        exists: planning.exists,
     }
 }
 
-fn plan_group<G: GraphView>(
-    view: &G,
-    group: &GroupPattern,
-    vars: &VarTable,
-    bound: &mut HashSet<usize>,
-) -> GroupPlan {
-    let mut elements = Vec::with_capacity(group.elements.len());
-    for el in &group.elements {
-        let planned = match el {
-            GroupElement::Triples(ts) => ElementPlan::Bgp(plan_bgp(view, ts, vars, bound)),
-            GroupElement::Group(inner) => {
-                // Bindings escape a nested group: plan with, and keep, the
-                // shared bound set.
-                ElementPlan::Group(plan_group(view, inner, vars, bound))
+/// Expressions evaluated over the WHERE clause's solutions: SELECT
+/// expressions, GROUP BY conditions, HAVING and ORDER BY.
+fn modifier_exprs(q: &Query) -> Vec<&Expr> {
+    let mut out = Vec::new();
+    if let QueryForm::Select {
+        projection: Projection::Items(items),
+        ..
+    } = &q.form
+    {
+        for item in items {
+            if let ProjectionItem::Expr(e, _) = item {
+                out.push(e);
             }
-            GroupElement::Optional(inner) => {
-                // OPTIONAL may leave its variables unbound, so they do not
-                // count as bound for later estimates.
-                let mut inner_bound = bound.clone();
-                ElementPlan::Optional(plan_group(view, inner, vars, &mut inner_bound))
-            }
-            GroupElement::Minus(inner) => {
-                // MINUS evaluates against a fresh empty binding.
-                let mut inner_bound = HashSet::new();
-                ElementPlan::Minus(plan_group(view, inner, vars, &mut inner_bound))
-            }
-            GroupElement::Union(arms) => {
-                // A variable is bound after the union only when every arm
-                // binds it.
-                let mut arm_plans = Vec::with_capacity(arms.len());
-                let mut common: Option<HashSet<usize>> = None;
-                for arm in arms {
-                    let mut arm_bound = bound.clone();
-                    arm_plans.push(plan_group(view, arm, vars, &mut arm_bound));
-                    common = Some(match common {
-                        None => arm_bound,
-                        Some(c) => c.intersection(&arm_bound).copied().collect(),
-                    });
-                }
-                if let Some(c) = common {
-                    bound.extend(c);
-                }
-                ElementPlan::Union(arm_plans)
-            }
-            GroupElement::Bind(_, v) => {
-                if let Some(slot) = vars.get(v) {
-                    bound.insert(slot);
-                }
-                ElementPlan::Leaf
-            }
-            GroupElement::Values(vb) => {
-                for v in &vb.vars {
-                    if let Some(slot) = vars.get(v) {
-                        bound.insert(slot);
-                    }
-                }
-                ElementPlan::Leaf
-            }
-            GroupElement::Filter(_) => ElementPlan::Leaf,
-        };
-        elements.push(planned);
+        }
     }
-    GroupPlan { elements }
+    for gc in &q.modifiers.group_by {
+        if let GroupCondition::Expr(e, _) = gc {
+            out.push(e);
+        }
+    }
+    out.extend(&q.modifiers.having);
+    out.extend(q.modifiers.order_by.iter().map(|oc| &oc.expr));
+    out
 }
 
-fn plan_bgp<G: GraphView>(
-    view: &G,
-    patterns: &[TriplePattern],
-    vars: &VarTable,
-    bound: &mut HashSet<usize>,
-) -> BgpPlan {
-    let mut remaining: Vec<usize> = (0..patterns.len()).collect();
-    let mut steps = Vec::with_capacity(patterns.len());
-    let mut next_star = 0usize;
-    while !remaining.is_empty() {
-        // Minimum estimated cardinality wins; a strictly-smaller test
-        // keeps the first minimum, so ties preserve author order.
-        let mut best = 0;
-        let mut best_est = f64::INFINITY;
-        let mut best_index = IndexChoice::Full;
-        for (i, &pi) in remaining.iter().enumerate() {
-            let (est, index) = estimate(view, &patterns[pi], vars, bound);
-            if est < best_est {
-                best = i;
-                best_est = est;
-                best_index = index;
+/// Calls `f` with every `EXISTS` body in `e` and its negation flag.
+/// Bodies nested inside another body are not visited: they belong to
+/// that body's own groups.
+fn for_each_exists<'e>(e: &'e Expr, f: &mut impl FnMut(&'e GroupPattern, bool)) {
+    match e {
+        Expr::Exists(body, negated) => f(body, *negated),
+        Expr::Or(a, b) | Expr::And(a, b) | Expr::Compare(_, a, b) | Expr::Arith(_, a, b) => {
+            for_each_exists(a, f);
+            for_each_exists(b, f);
+        }
+        Expr::Not(a) | Expr::UnaryMinus(a) => for_each_exists(a, f),
+        Expr::In(a, list, _) => {
+            for_each_exists(a, f);
+            for x in list {
+                for_each_exists(x, f);
             }
         }
-        let pi = remaining[best];
+        Expr::Call(_, args) => {
+            for x in args {
+                for_each_exists(x, f);
+            }
+        }
+        Expr::Aggregate(agg) => {
+            if let Some(inner) = &agg.expr {
+                for_each_exists(inner, f);
+            }
+        }
+        Expr::Var(_) | Expr::Iri(_) | Expr::Literal(_) => {}
+    }
+}
 
-        // Star fusion: when the chosen pattern is a doubly-ground run
-        // over a still-unbound variable and at least one sibling shares
-        // that variable the same way, fuse the whole star into one
-        // leapfrog group — k runs intersected with simultaneous seeks
-        // instead of k-1 pairwise joins.
-        if let Some(v) = star_slot(&patterns[pi], vars, bound) {
-            let mut members: Vec<(f64, usize, IndexChoice)> = remaining
-                .iter()
-                .filter(|&&mi| star_slot(&patterns[mi], vars, bound) == Some(v))
-                .map(|&mi| {
-                    let (est, index) = estimate(view, &patterns[mi], vars, bound);
-                    (est, mi, index)
-                })
-                .collect();
-            if members.len() >= 2 {
-                // Smallest run first: the anchor drives the seeks and
-                // defines the emitted order. Ties keep author order.
-                members.sort_by(|a, b| {
-                    a.0.partial_cmp(&b.0)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.1.cmp(&b.1))
-                });
-                let gid = next_star;
-                next_star += 1;
-                for &(est, mi, index) in &members {
-                    // Intersection cost is one pass over the runs; the
-                    // runtime row gate keeps tiny inputs sequential.
-                    steps.push(PlanStep {
-                        pattern: mi,
-                        est_rows: est,
-                        index,
-                        algo: JoinAlgo::Leapfrog,
-                        star: Some(gid),
-                        parallel: true,
-                    });
-                    for slot in pattern_var_slots(&patterns[mi], vars) {
+/// Planner state for one query: the view whose statistics drive the
+/// estimates, the query's variable slots, and the EXISTS-body plans
+/// filled in as their scopes are reached.
+struct Planning<'v, G> {
+    view: &'v G,
+    planner: Planner,
+    vars: VarTable,
+    exists: Vec<GroupPlan>,
+}
+
+impl<G: GraphView> Planning<'_, G> {
+    fn group(&mut self, group: &GroupPattern, bound: &mut HashSet<usize>) -> GroupPlan {
+        let mut elements = Vec::with_capacity(group.elements.len());
+        let mut filters = Vec::new();
+        for el in &group.elements {
+            let planned = match el {
+                GroupElement::Triples(ts) => ElementPlan::Bgp(self.bgp(ts, bound)),
+                GroupElement::Group(inner) => {
+                    // Bindings escape a nested group: plan with, and keep,
+                    // the shared bound set.
+                    ElementPlan::Group(self.group(inner, bound))
+                }
+                GroupElement::Optional(inner) => {
+                    // OPTIONAL may leave its variables unbound, so they do
+                    // not count as bound for later estimates.
+                    let mut inner_bound = bound.clone();
+                    ElementPlan::Optional(self.group(inner, &mut inner_bound))
+                }
+                GroupElement::Minus(inner) => {
+                    // MINUS evaluates against a fresh empty binding.
+                    let mut inner_bound = HashSet::new();
+                    ElementPlan::Minus(self.group(inner, &mut inner_bound))
+                }
+                GroupElement::Union(arms) => {
+                    // A variable is bound after the union only when every
+                    // arm binds it.
+                    let mut arm_plans = Vec::with_capacity(arms.len());
+                    let mut common: Option<HashSet<usize>> = None;
+                    for arm in arms {
+                        let mut arm_bound = bound.clone();
+                        arm_plans.push(self.group(arm, &mut arm_bound));
+                        common = Some(match common {
+                            None => arm_bound,
+                            Some(c) => c.intersection(&arm_bound).copied().collect(),
+                        });
+                    }
+                    if let Some(c) = common {
+                        bound.extend(c);
+                    }
+                    ElementPlan::Union(arm_plans)
+                }
+                GroupElement::Bind(e, v) => {
+                    self.exists_in(e, bound);
+                    if let Some(slot) = self.vars.get(v) {
                         bound.insert(slot);
                     }
+                    ElementPlan::Leaf
                 }
-                remaining.retain(|mi| !members.iter().any(|&(_, m, _)| m == *mi));
-                continue;
-            }
+                GroupElement::Values(vb) => {
+                    for v in &vb.vars {
+                        if let Some(slot) = self.vars.get(v) {
+                            bound.insert(slot);
+                        }
+                    }
+                    ElementPlan::Leaf
+                }
+                GroupElement::Filter(e) => {
+                    filters.push(e);
+                    ElementPlan::Leaf
+                }
+            };
+            elements.push(planned);
         }
+        // FILTERs apply once the whole group has run, so their EXISTS
+        // bodies see everything the group binds.
+        for e in filters {
+            self.exists_in(e, bound);
+        }
+        GroupPlan { elements }
+    }
 
-        remaining.remove(best);
-        let tp = &patterns[pi];
-        let algo = if merge_worthwhile(view, tp, vars, bound) {
-            JoinAlgo::Merge
-        } else if hash_join_worthwhile(view, tp, vars, bound) {
-            JoinAlgo::Hash
-        } else {
-            JoinAlgo::Nested
-        };
-        // Hash/merge steps have O(1)/O(log n) probes, so parallelism
-        // pays once the input side is wide (the runtime row gate); scan
-        // steps need the per-row work itself to clear the threshold.
-        let parallel = algo != JoinAlgo::Nested || best_est >= PARALLEL_EST_MIN;
-        for slot in pattern_var_slots(tp, vars) {
-            bound.insert(slot);
-        }
-        steps.push(PlanStep {
-            pattern: pi,
-            est_rows: best_est,
-            index: best_index,
-            algo,
-            star: None,
-            parallel,
+    /// Plans every EXISTS body in `e` against the variables `bound` at
+    /// the expression's scope.
+    fn exists_in(&mut self, e: &Expr, bound: &HashSet<usize>) {
+        for_each_exists(e, &mut |body, _| {
+            let mut body_bound = bound.clone();
+            let plan = self.group(body, &mut body_bound);
+            if let Some(i) = self.vars.exists_index(body) {
+                self.exists[i] = plan;
+            }
         });
     }
-    BgpPlan { steps }
+
+    fn bgp(&self, patterns: &[TriplePattern], bound: &mut HashSet<usize>) -> BgpPlan {
+        if self.planner == Planner::Off {
+            return self.author_order(patterns, bound);
+        }
+        let (view, vars) = (self.view, &self.vars);
+        let mut remaining: Vec<usize> = (0..patterns.len()).collect();
+        let mut steps = Vec::with_capacity(patterns.len());
+        let mut next_star = 0usize;
+        while !remaining.is_empty() {
+            // Minimum estimated cardinality wins; a strictly-smaller test
+            // keeps the first minimum, so ties preserve author order.
+            let mut best = 0;
+            let mut best_est = f64::INFINITY;
+            let mut best_index = IndexChoice::Full;
+            for (i, &pi) in remaining.iter().enumerate() {
+                let (est, index) = estimate(view, &patterns[pi], vars, bound);
+                if est < best_est {
+                    best = i;
+                    best_est = est;
+                    best_index = index;
+                }
+            }
+            let pi = remaining[best];
+
+            // Star fusion: when the chosen pattern is a doubly-ground run
+            // over a still-unbound variable and at least one sibling
+            // shares that variable the same way, fuse the whole star into
+            // one leapfrog group — k runs intersected with simultaneous
+            // seeks instead of k-1 pairwise joins.
+            if let Some(v) = star_slot(&patterns[pi], vars, bound) {
+                let mut members: Vec<(f64, usize, IndexChoice)> = remaining
+                    .iter()
+                    .filter(|&&mi| star_slot(&patterns[mi], vars, bound) == Some(v))
+                    .map(|&mi| {
+                        let (est, index) = estimate(view, &patterns[mi], vars, bound);
+                        (est, mi, index)
+                    })
+                    .collect();
+                if members.len() >= 2 {
+                    // Smallest run first: the anchor drives the seeks and
+                    // defines the emitted order. Ties keep author order.
+                    members.sort_by(|a, b| {
+                        a.0.partial_cmp(&b.0)
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                            .then(a.1.cmp(&b.1))
+                    });
+                    let gid = next_star;
+                    next_star += 1;
+                    for &(est, mi, index) in &members {
+                        // Intersection cost is one pass over the runs; the
+                        // runtime row gate keeps tiny inputs sequential.
+                        steps.push(PlanStep {
+                            pattern: mi,
+                            est_rows: est,
+                            index,
+                            algo: JoinAlgo::Leapfrog,
+                            star: Some(gid),
+                            parallel: true,
+                        });
+                        bound.extend(pattern_var_slots(&patterns[mi], vars));
+                    }
+                    remaining.retain(|mi| !members.iter().any(|&(_, m, _)| m == *mi));
+                    continue;
+                }
+            }
+
+            remaining.remove(best);
+            let tp = &patterns[pi];
+            let algo = if merge_worthwhile(view, tp, vars, bound) {
+                JoinAlgo::Merge
+            } else if hash_join_worthwhile(view, tp, vars, bound) {
+                JoinAlgo::Hash
+            } else {
+                JoinAlgo::Nested
+            };
+            // Hash/merge steps have O(1)/O(log n) probes, so parallelism
+            // pays once the input side is wide (the runtime row gate);
+            // scan steps need the per-row work itself to clear the
+            // threshold.
+            let parallel = algo != JoinAlgo::Nested || best_est >= PARALLEL_EST_MIN;
+            bound.extend(pattern_var_slots(tp, vars));
+            steps.push(PlanStep {
+                pattern: pi,
+                est_rows: best_est,
+                index: best_index,
+                algo,
+                star: None,
+                parallel,
+            });
+        }
+        BgpPlan { steps }
+    }
+
+    /// [`Planner::Off`]: author order, nested, sequential, never
+    /// starred. Estimates are still recorded so EXPLAIN shows what each
+    /// step is expected to cost.
+    fn author_order(&self, patterns: &[TriplePattern], bound: &mut HashSet<usize>) -> BgpPlan {
+        let steps = patterns
+            .iter()
+            .enumerate()
+            .map(|(pattern, tp)| {
+                let (est_rows, index) = estimate(self.view, tp, &self.vars, bound);
+                bound.extend(pattern_var_slots(tp, &self.vars));
+                PlanStep {
+                    pattern,
+                    est_rows,
+                    index,
+                    algo: JoinAlgo::Nested,
+                    star: None,
+                    parallel: false,
+                }
+            })
+            .collect();
+        BgpPlan { steps }
+    }
 }
 
 /// The still-unbound variable slot of a star-eligible pattern: an IRI
@@ -612,17 +740,97 @@ fn merge_worthwhile<G: GraphView>(
     }
 }
 
+// ---- coverage ------------------------------------------------------------
+
+impl Plan {
+    /// Whether this plan has a node of the right kind for every group
+    /// element and every EXISTS body of `q` — i.e. whether it can have
+    /// been compiled from `q`. `vars` is `q`'s variable table.
+    pub(crate) fn covers(&self, q: &Query, vars: &VarTable) -> bool {
+        self.exists.len() == vars.exists_len()
+            && self.group_covers(&q.where_pattern, &self.root, vars)
+            && modifier_exprs(q)
+                .into_iter()
+                .all(|e| self.exists_covered(e, vars))
+    }
+
+    fn group_covers(&self, group: &GroupPattern, plan: &GroupPlan, vars: &VarTable) -> bool {
+        group.elements.len() == plan.elements.len()
+            && group
+                .elements
+                .iter()
+                .zip(&plan.elements)
+                .all(|(el, node)| match (el, node) {
+                    (GroupElement::Triples(ts), ElementPlan::Bgp(bp)) => bp.covers(ts.len()),
+                    (GroupElement::Group(g), ElementPlan::Group(gp))
+                    | (GroupElement::Optional(g), ElementPlan::Optional(gp))
+                    | (GroupElement::Minus(g), ElementPlan::Minus(gp)) => {
+                        self.group_covers(g, gp, vars)
+                    }
+                    (GroupElement::Union(arms), ElementPlan::Union(arm_plans)) => {
+                        arms.len() == arm_plans.len()
+                            && arms
+                                .iter()
+                                .zip(arm_plans)
+                                .all(|(arm, ap)| self.group_covers(arm, ap, vars))
+                    }
+                    (GroupElement::Filter(e) | GroupElement::Bind(e, _), ElementPlan::Leaf) => {
+                        self.exists_covered(e, vars)
+                    }
+                    (GroupElement::Values(_), ElementPlan::Leaf) => true,
+                    _ => false,
+                })
+    }
+
+    fn exists_covered(&self, e: &Expr, vars: &VarTable) -> bool {
+        let mut covered = true;
+        for_each_exists(e, &mut |body, _| {
+            covered &= vars
+                .exists_index(body)
+                .and_then(|i| self.exists.get(i))
+                .is_some_and(|bp| self.group_covers(body, bp, vars));
+        });
+        covered
+    }
+}
+
+impl BgpPlan {
+    /// A plan is executable against `n` patterns when it covers each
+    /// pattern exactly once.
+    fn covers(&self, n: usize) -> bool {
+        let mut seen = vec![false; n];
+        self.steps.len() == n
+            && self.steps.iter().all(|step| {
+                seen.get_mut(step.pattern)
+                    .is_some_and(|s| !std::mem::replace(s, true))
+            })
+    }
+}
+
 // ---- rendering -----------------------------------------------------------
 
 impl Plan {
     /// Human-readable plan: the group tree with each BGP's join order,
-    /// index choice, estimate, and hash-join placement. `q` must be the
+    /// index choice, estimate, and join-algorithm placement, EXISTS
+    /// bodies under the expression that holds them. `q` must be the
     /// query this plan was compiled from.
     pub fn render(&self, q: &Query, planner: Planner) -> String {
+        let mut vars = VarTable::default();
+        register_group_vars(&q.where_pattern, &mut vars);
+        register_modifier_vars(q, &mut vars);
+        let r = Render { plan: self, vars };
         let mut out = format!("plan planner={}\n", planner.name());
-        render_group(&mut out, &q.where_pattern, &self.root, 0);
+        r.group(&mut out, &q.where_pattern, &self.root, 0);
+        for e in modifier_exprs(q) {
+            r.exists(&mut out, e, 0);
+        }
         out
     }
+}
+
+struct Render<'p> {
+    plan: &'p Plan,
+    vars: VarTable,
 }
 
 fn indent(out: &mut String, depth: usize) {
@@ -631,78 +839,101 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-fn render_group(out: &mut String, group: &GroupPattern, plan: &GroupPlan, depth: usize) {
-    for (i, el) in group.elements.iter().enumerate() {
-        let sub = plan.elements.get(i);
-        match (el, sub) {
-            (GroupElement::Triples(ts), Some(ElementPlan::Bgp(bp))) => {
-                indent(out, depth);
-                out.push_str("bgp\n");
-                for (order, step) in bp.steps.iter().enumerate() {
-                    indent(out, depth + 1);
-                    let pattern = ts
-                        .get(step.pattern)
-                        .map(fmt_pattern)
-                        .unwrap_or_else(|| "<pattern out of range>".to_string());
-                    let join = match (step.algo, step.star) {
-                        (JoinAlgo::Nested, _) => String::new(),
-                        (JoinAlgo::Leapfrog, Some(g)) => format!(" join=leapfrog star={g}"),
-                        (algo, _) => format!(" join={}", algo.name()),
-                    };
-                    let par = if step.parallel { " par" } else { "" };
-                    let _ = writeln!(
-                        out,
-                        "{}. {}  [idx={} est={:.1}{}{}]",
-                        order + 1,
-                        pattern,
-                        step.index.name(),
-                        step.est_rows,
-                        join,
-                        par
-                    );
+impl Render<'_> {
+    fn group(&self, out: &mut String, group: &GroupPattern, plan: &GroupPlan, depth: usize) {
+        for (i, el) in group.elements.iter().enumerate() {
+            let sub = plan.elements.get(i);
+            match (el, sub) {
+                (GroupElement::Triples(ts), Some(ElementPlan::Bgp(bp))) => {
+                    indent(out, depth);
+                    out.push_str("bgp\n");
+                    for (order, step) in bp.steps.iter().enumerate() {
+                        indent(out, depth + 1);
+                        let pattern = ts
+                            .get(step.pattern)
+                            .map(fmt_pattern)
+                            .unwrap_or_else(|| "<pattern out of range>".to_string());
+                        let join = match (step.algo, step.star) {
+                            (JoinAlgo::Nested, _) => String::new(),
+                            (JoinAlgo::Leapfrog, Some(g)) => format!(" join=leapfrog star={g}"),
+                            (algo, _) => format!(" join={}", algo.name()),
+                        };
+                        let par = if step.parallel { " par" } else { "" };
+                        let _ = writeln!(
+                            out,
+                            "{}. {}  [idx={} est={:.1}{}{}]",
+                            order + 1,
+                            pattern,
+                            step.index.name(),
+                            step.est_rows,
+                            join,
+                            par
+                        );
+                    }
                 }
-            }
-            (GroupElement::Group(g), Some(ElementPlan::Group(gp))) => {
-                indent(out, depth);
-                out.push_str("group\n");
-                render_group(out, g, gp, depth + 1);
-            }
-            (GroupElement::Optional(g), Some(ElementPlan::Optional(gp))) => {
-                indent(out, depth);
-                out.push_str("optional\n");
-                render_group(out, g, gp, depth + 1);
-            }
-            (GroupElement::Minus(g), Some(ElementPlan::Minus(gp))) => {
-                indent(out, depth);
-                out.push_str("minus\n");
-                render_group(out, g, gp, depth + 1);
-            }
-            (GroupElement::Union(arms), Some(ElementPlan::Union(arm_plans))) => {
-                indent(out, depth);
-                out.push_str("union\n");
-                for (arm, arm_plan) in arms.iter().zip(arm_plans.iter()) {
-                    indent(out, depth + 1);
-                    out.push_str("arm\n");
-                    render_group(out, arm, arm_plan, depth + 2);
+                (GroupElement::Group(g), Some(ElementPlan::Group(gp))) => {
+                    indent(out, depth);
+                    out.push_str("group\n");
+                    self.group(out, g, gp, depth + 1);
                 }
-            }
-            (GroupElement::Filter(_), _) => {
-                indent(out, depth);
-                out.push_str("filter\n");
-            }
-            (GroupElement::Bind(_, v), _) => {
-                indent(out, depth);
-                let _ = writeln!(out, "bind ?{v}");
-            }
-            (GroupElement::Values(vb), _) => {
-                indent(out, depth);
-                let _ = writeln!(out, "values ({} rows)", vb.rows.len());
-            }
-            (_, _) => {
-                indent(out, depth);
-                out.push_str("<plan/query shape mismatch>\n");
+                (GroupElement::Optional(g), Some(ElementPlan::Optional(gp))) => {
+                    indent(out, depth);
+                    out.push_str("optional\n");
+                    self.group(out, g, gp, depth + 1);
+                }
+                (GroupElement::Minus(g), Some(ElementPlan::Minus(gp))) => {
+                    indent(out, depth);
+                    out.push_str("minus\n");
+                    self.group(out, g, gp, depth + 1);
+                }
+                (GroupElement::Union(arms), Some(ElementPlan::Union(arm_plans))) => {
+                    indent(out, depth);
+                    out.push_str("union\n");
+                    for (arm, arm_plan) in arms.iter().zip(arm_plans.iter()) {
+                        indent(out, depth + 1);
+                        out.push_str("arm\n");
+                        self.group(out, arm, arm_plan, depth + 2);
+                    }
+                }
+                (GroupElement::Filter(e), _) => {
+                    indent(out, depth);
+                    out.push_str("filter\n");
+                    self.exists(out, e, depth + 1);
+                }
+                (GroupElement::Bind(e, v), _) => {
+                    indent(out, depth);
+                    let _ = writeln!(out, "bind ?{v}");
+                    self.exists(out, e, depth + 1);
+                }
+                (GroupElement::Values(vb), _) => {
+                    indent(out, depth);
+                    let _ = writeln!(out, "values ({} rows)", vb.rows.len());
+                }
+                (_, _) => {
+                    indent(out, depth);
+                    out.push_str("<plan/query shape mismatch>\n");
+                }
             }
         }
+    }
+
+    /// Renders the EXISTS bodies in `e` with their plans.
+    fn exists(&self, out: &mut String, e: &Expr, depth: usize) {
+        for_each_exists(e, &mut |body, negated| {
+            indent(out, depth);
+            out.push_str(if negated { "not exists\n" } else { "exists\n" });
+            match self
+                .vars
+                .exists_index(body)
+                .and_then(|i| self.plan.exists.get(i))
+            {
+                Some(bp) => self.group(out, body, bp, depth + 1),
+                None => {
+                    indent(out, depth + 1);
+                    out.push_str("<plan/query shape mismatch>\n");
+                }
+            }
+        });
     }
 }
 
@@ -979,6 +1210,69 @@ mod tests {
         // members fused before the link pattern ran, or none did.
         let starred = bp.steps.iter().filter(|s| s.star.is_some()).count();
         assert!(starred == 0 || starred == 2, "{plan:?}");
+    }
+
+    #[test]
+    fn off_plans_keep_author_order_nested_and_sequential() {
+        let mut g = Graph::new();
+        for i in 0..300 {
+            g.insert_iris(&format!("http://e/r{i}"), "http://e/p1", "http://e/a");
+            g.insert_iris(&format!("http://e/r{i}"), "http://e/p2", "http://e/b");
+        }
+        g.insert_iris("http://e/r0", "http://e/narrow", "http://e/only");
+        let q = parse_query(
+            "SELECT * WHERE { ?r <http://e/p1> <http://e/a> . \
+             ?r <http://e/p2> <http://e/b> . ?r <http://e/narrow> ?o }",
+        )
+        .expect("test query parses");
+        let plan = compile(&g, &q, Planner::Off);
+        let ElementPlan::Bgp(bp) = &plan.root.elements[0] else {
+            panic!("expected BGP plan");
+        };
+        let order: Vec<usize> = bp.steps.iter().map(|s| s.pattern).collect();
+        assert_eq!(order, [0, 1, 2]);
+        for step in &bp.steps {
+            assert_eq!(step.algo, JoinAlgo::Nested, "{plan:?}");
+            assert_eq!(step.star, None);
+            assert!(!step.parallel);
+        }
+    }
+
+    #[test]
+    fn exists_bodies_are_planned_with_their_scope_bindings() {
+        let g = sample_graph();
+        // In author order the body opens with a pattern sharing no
+        // variable with ?r, which the filter's scope binds.
+        let (q, plan) = plan_for(
+            &g,
+            "SELECT ?r WHERE { ?r a <http://e/SmallClass> . \
+             FILTER NOT EXISTS { ?x <http://e/broad> ?v . ?r <http://e/broad> ?v } }",
+        );
+        assert_eq!(plan.exists.len(), 1);
+        let ElementPlan::Bgp(bp) = &plan.exists[0].elements[0] else {
+            panic!("expected BGP plan: {plan:?}");
+        };
+        assert_eq!(bp.steps[0].pattern, 1, "{plan:?}");
+        let text = plan.render(&q, Planner::CostBased);
+        assert!(text.contains("filter\n  not exists\n    bgp\n"), "{text}");
+    }
+
+    #[test]
+    fn a_plan_for_another_query_is_rejected() {
+        use crate::{execute_prepared, SparqlError};
+        let g = sample_graph();
+        let (_, plan) = plan_for(
+            &g,
+            "SELECT * WHERE { ?r <http://e/broad> ?v FILTER (?v != ?r) }",
+        );
+        for other in [
+            "SELECT * WHERE { ?r <http://e/broad> ?v . ?r <http://e/narrow> ?o }",
+            "SELECT * WHERE { ?r <http://e/broad> ?v FILTER EXISTS { ?r <http://e/narrow> ?o } }",
+        ] {
+            let q = parse_query(other).expect("test query parses");
+            let got = execute_prepared(&g, &q, &plan, &QueryOptions::default());
+            assert_eq!(got.err(), Some(SparqlError::PlanMismatch), "{other}");
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ fn usage_and_exit() -> ! {
            feo explain what-if-pregnant [profile flags]\n\
            feo explain steps <Food> [profile flags]\n\
            feo proof <Individual> <fact|foil> [profile flags]\n\
-           feo query <SPARQL string> [--explain] [--planner off|greedy|cost-based]\n\
+           feo query <SPARQL string> [--explain] [--planner off|cost-based]\n\
                      [--threads off|auto|N] [--as-of N] [--commit S]\n\
            feo history [--commit S] [profile flags]\n\
            feo branch create <name> [--from N] [--apply S] [--commit S]\n\
@@ -213,10 +213,9 @@ fn parse_opts(args: &[String]) -> Opts {
             "--planner" => {
                 planner = match value("--planner").to_ascii_lowercase().as_str() {
                     "off" => Planner::Off,
-                    "greedy" => Planner::Greedy,
                     "cost-based" | "cost" => Planner::CostBased,
                     other => {
-                        eprintln!("unknown planner '{other}' (off | greedy | cost-based)");
+                        eprintln!("unknown planner '{other}' (off | cost-based)");
                         exit(2);
                     }
                 }

@@ -88,6 +88,42 @@ fn query_runs_sparql_with_default_prefixes() {
     assert!(stdout.contains("32"), "32 curated recipes: {stdout}");
 }
 
+/// EXPLAIN prints the plan that runs: under `--planner off` that is
+/// author order, even where the cost-based planner would reorder.
+#[test]
+fn query_explain_under_off_lists_author_order() {
+    let q = "SELECT ?r ?i WHERE { ?r food:hasIngredient ?i . ?i a food:Ingredient . \
+             ?r food:hasIngredient food:Broccoli }";
+    let step_order = |planner: &str| {
+        let (stdout, stderr, ok) = feo(&["query", q, "--explain", "--planner", planner]);
+        assert!(ok, "{stderr}");
+        assert!(
+            stdout.starts_with(&format!("plan planner={planner}")),
+            "{stdout}"
+        );
+        let broccoli = stdout.find("#Broccoli>").expect("Broccoli step rendered");
+        let ingredient = stdout.find("#Ingredient>").expect("type step rendered");
+        (stdout.clone(), broccoli < ingredient)
+    };
+    let (cost_based, broccoli_first) = step_order("cost-based");
+    assert!(
+        broccoli_first,
+        "cost-based runs the selective step first:\n{cost_based}"
+    );
+    let (off, broccoli_first) = step_order("off");
+    assert!(!broccoli_first, "author order keeps it last:\n{off}");
+    assert!(!off.contains("join=") && !off.contains(" par]"), "{off}");
+}
+
+/// Only `off` and `cost-based` remain; the retired greedy planner is an
+/// unknown planner like any other.
+#[test]
+fn query_rejects_the_greedy_planner() {
+    let (_, stderr, ok) = feo(&["query", "ASK { ?s ?p ?o }", "--planner", "greedy"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown planner 'greedy'"), "{stderr}");
+}
+
 #[test]
 fn export_produces_parseable_turtle() {
     let (stdout, _, ok) = feo(&["export", "--raw"]);

@@ -34,7 +34,8 @@ const MODES: [Parallelism; 2] = [Parallelism::Off, Parallelism::Fixed(4)];
 /// Queries chosen to give the operators real work: a ground-object star
 /// (the leapfrog target shape), variable-chain joins probing both key
 /// columns of the merge directory, mixed boundness arriving from an
-/// OPTIONAL, and an aggregate consuming join output.
+/// OPTIONAL, an aggregate consuming join output, and planned EXISTS
+/// bodies.
 fn equivalence_queries() -> Vec<String> {
     let p = sparql_prologue();
     // The generator's Zipf sampling makes the low-index ingredients the
@@ -95,6 +96,41 @@ fn equivalence_queries() -> Vec<String> {
             "{p}SELECT ?r (COUNT(?i) AS ?k) WHERE {{\n\
                ?r food:hasIngredient ?i .\n\
              }} GROUP BY ?r"
+        ),
+    ]
+    .into_iter()
+    .chain(exists_queries())
+    .collect()
+}
+
+/// EXISTS bodies are planned with the variables bound at their scope.
+/// The same three queries run in `plan_equivalence`.
+fn exists_queries() -> Vec<String> {
+    let p = sparql_prologue();
+    vec![
+        // In author order the body opens with a pattern that shares no
+        // variable with the outer row.
+        format!(
+            "{p}SELECT ?r ?i WHERE {{\n\
+               ?r food:hasIngredient ?i .\n\
+               FILTER NOT EXISTS {{ ?x food:availableInSeason ?s . ?i food:availableInSeason ?s }}\n\
+             }}"
+        ),
+        // EXISTS inside OPTIONAL: the body sees the optional group's
+        // bindings.
+        format!(
+            "{p}SELECT ?i ?x WHERE {{\n\
+               ?i a food:Ingredient .\n\
+               OPTIONAL {{ ?i food:availableInSeason ?x .\n\
+                 FILTER EXISTS {{ ?r food:hasIngredient ?i . ?r food:calories ?c }} }}\n\
+             }}"
+        ),
+        // EXISTS as a BIND value.
+        format!(
+            "{p}SELECT ?r ?rich WHERE {{\n\
+               ?r a food:Recipe .\n\
+               BIND (EXISTS {{ ?r food:calories ?c . FILTER (?c > 700) }} AS ?rich)\n\
+             }}"
         ),
     ]
 }

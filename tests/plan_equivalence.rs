@@ -1,6 +1,5 @@
-//! Planner equivalence: the cost-based planner, the greedy reorderer,
-//! and author-order evaluation are alternative *orders*, never
-//! alternative *semantics*. For seeded synthetic KGs (the
+//! Planner equivalence: the cost-based planner and author-order
+//! evaluation are alternative *orders*, never alternative *semantics*. For seeded synthetic KGs (the
 //! `feo-foodkg` generator, assembled and materialized exactly as the
 //! engine does it) every planner must return the identical solution
 //! multiset — and a tripping `Guard` must yield a typed
@@ -15,12 +14,12 @@ use feo::rdf::Graph;
 use feo::sparql::{query, Planner, QueryOptions, SolutionTable, SparqlError};
 use proptest::prelude::*;
 
-const PLANNERS: [Planner; 3] = [Planner::Off, Planner::Greedy, Planner::CostBased];
+const PLANNERS: [Planner; 2] = [Planner::Off, Planner::CostBased];
 
 /// Queries chosen to give the planners real decisions: multi-pattern
 /// joins (including an adversarial author order that opens with a
-/// cartesian product), OPTIONAL / UNION nodes, a property path, and an
-/// aggregate.
+/// cartesian product), OPTIONAL / UNION nodes, a property path, an
+/// aggregate, and planned EXISTS bodies.
 fn equivalence_queries() -> Vec<String> {
     let p = sparql_prologue();
     vec![
@@ -63,6 +62,41 @@ fn equivalence_queries() -> Vec<String> {
              }} GROUP BY ?r"
         ),
     ]
+    .into_iter()
+    .chain(exists_queries())
+    .collect()
+}
+
+/// EXISTS bodies are planned with the variables bound at their scope.
+/// The same three queries run in `join_equivalence`.
+fn exists_queries() -> Vec<String> {
+    let p = sparql_prologue();
+    vec![
+        // In author order the body opens with a pattern that shares no
+        // variable with the outer row.
+        format!(
+            "{p}SELECT ?r ?i WHERE {{\n\
+               ?r food:hasIngredient ?i .\n\
+               FILTER NOT EXISTS {{ ?x food:availableInSeason ?s . ?i food:availableInSeason ?s }}\n\
+             }}"
+        ),
+        // EXISTS inside OPTIONAL: the body sees the optional group's
+        // bindings.
+        format!(
+            "{p}SELECT ?i ?x WHERE {{\n\
+               ?i a food:Ingredient .\n\
+               OPTIONAL {{ ?i food:availableInSeason ?x .\n\
+                 FILTER EXISTS {{ ?r food:hasIngredient ?i . ?r food:calories ?c }} }}\n\
+             }}"
+        ),
+        // EXISTS as a BIND value.
+        format!(
+            "{p}SELECT ?r ?rich WHERE {{\n\
+               ?r a food:Recipe .\n\
+               BIND (EXISTS {{ ?r food:calories ?c . FILTER (?c > 700) }} AS ?rich)\n\
+             }}"
+        ),
+    ]
 }
 
 /// The engine's own pipeline: generate, assemble, materialize.
@@ -95,7 +129,7 @@ fn multiset(t: &SolutionTable) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// All three planners agree on every query over every generated KG.
+    /// Both planners agree on every query over every generated KG.
     #[test]
     fn planners_return_identical_multisets(
         recipes in 15usize..45,
@@ -107,17 +141,15 @@ proptest! {
                 .expect("author order evaluates")
                 .expect_solutions();
             let reference = multiset(&reference);
-            for planner in [Planner::Greedy, Planner::CostBased] {
-                let got = query(&g, &q, &QueryOptions { planner, ..Default::default() })
-                    .expect("planned evaluation evaluates")
-                    .expect_solutions();
-                prop_assert_eq!(
-                    &multiset(&got),
-                    &reference,
-                    "planner {:?} diverged on seed {} query:\n{}",
-                    planner, seed, q
-                );
-            }
+            let got = query(&g, &q, &Default::default())
+                .expect("planned evaluation evaluates")
+                .expect_solutions();
+            prop_assert_eq!(
+                &multiset(&got),
+                &reference,
+                "cost-based planner diverged on seed {} query:\n{}",
+                seed, q
+            );
         }
     }
 
@@ -186,13 +218,13 @@ proptest! {
     }
 }
 
-// ---- greedy tie-break regression ---------------------------------------
+// ---- tie-break regression ------------------------------------------------
 
 /// Two disconnected patterns with identical statistics: every planner
 /// ties, ties keep author order, and author order pins the exact row
 /// sequence (first pattern outer, second inner, both in index order).
-/// Before the deterministic tie-break the greedy reorder depended on
-/// selection-scan incidentals and this order was unstable.
+/// Before the deterministic tie-break the (since retired) greedy reorder
+/// depended on selection-scan incidentals and this order was unstable.
 #[test]
 fn tied_patterns_pin_solution_order() {
     let mut g = Graph::new();

@@ -26,7 +26,7 @@ use feo::sparql::Planner;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
-const PLANNERS: [Planner; 3] = [Planner::Off, Planner::Greedy, Planner::CostBased];
+const PLANNERS: [Planner; 2] = [Planner::Off, Planner::CostBased];
 const MODES: [Parallelism; 2] = [Parallelism::Off, Parallelism::Fixed(4)];
 
 /// A unique, self-cleaning store directory per proptest case.
