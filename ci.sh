@@ -213,4 +213,11 @@ echo "== serve load smoke (bounded wall-clock)"
 # to BENCH_pr7.json, the smoke run just has to complete.
 timeout 240 cargo run -q --release --offline -p feo-bench --bin serve_load -- --smoke
 
+echo "== feobench smoke (bounded wall-clock)"
+# The end-to-end benchmark is its own package outside the workspace.
+# Its self-test runs every workload for about a second and checks each
+# answer against the author-order oracle, so a fast path that changes
+# an answer fails here as well as in the differential suites.
+timeout 300 cargo test --release --offline --manifest-path feobench/Cargo.toml
+
 echo "CI green."

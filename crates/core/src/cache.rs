@@ -16,8 +16,14 @@
 //! entry under key `(e, q)` always holds the plan for epoch `e`'s
 //! statistics. Commits invalidate nothing — the head moves to a fresh
 //! key, while entries for older epochs stay retained so time-travel
-//! queries keep hitting cached plans. A capacity bound evicts the
-//! entries furthest from the head when the cache grows too large.
+//! queries keep hitting cached plans.
+//!
+//! The cache holds at most `MAX_ENTRIES` (256) plans. A full stripe
+//! first drops the epoch furthest from the head; when all its entries
+//! are at the key being inserted — the usual case between two commits,
+//! when every question is a new text at the head epoch — it drops its
+//! oldest-inserted entry, so the bound holds however long the head
+//! stays put.
 //!
 //! Branches partition the key space: a [`PlanKey`] is `(chain, epoch,
 //! query)`, where chain 0 is the main commit chain and each named
@@ -103,6 +109,9 @@ pub struct PlanCacheStats {
 struct CachedPlan {
     query: Arc<Query>,
     plan: Arc<Plan>,
+    /// Cache-wide insertion order: eviction's tie-break when every
+    /// entry in a stripe sits at the key being inserted.
+    seq: u64,
 }
 
 /// Interior-mutable cache living on the shared, otherwise-immutable
@@ -121,6 +130,7 @@ pub(crate) struct PlanCache {
     head: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
+    next_seq: AtomicU64,
 }
 
 impl PlanCache {
@@ -162,15 +172,19 @@ impl PlanCache {
             CachedPlan {
                 query: Arc::clone(&query),
                 plan: Arc::clone(&plan),
+                seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
             },
         );
         Ok((query, plan))
     }
 
-    /// Drops one stripe's entries whose epoch lies furthest from the
-    /// main-chain head, sparing the key currently being inserted.
-    /// Branch entries compete on their epoch number like main-chain
-    /// ones — the head distance is a recency proxy either way.
+    /// Makes room in one stripe: drops the entries whose epoch lies
+    /// furthest from the main-chain head, sparing the key currently
+    /// being inserted. Branch entries compete on their epoch number like
+    /// main-chain ones — the head distance is a recency proxy either
+    /// way. When every entry already sits at the inserting key (many
+    /// distinct texts between two commits), the stripe's oldest-inserted
+    /// entry goes instead, so the bound holds within one epoch too.
     fn evict(entries: &mut HashMap<(PlanKey, String), CachedPlan>, head: u64, inserting: PlanKey) {
         let victim = entries
             .keys()
@@ -179,6 +193,12 @@ impl PlanCache {
             .max_by_key(|k| head.abs_diff(k.epoch));
         if let Some(victim) = victim {
             entries.retain(|(k, _), _| *k != victim);
+        } else if let Some(oldest) = entries
+            .iter()
+            .min_by_key(|(_, e)| e.seq)
+            .map(|(k, _)| k.clone())
+        {
+            entries.remove(&oldest);
         }
     }
 
@@ -335,6 +355,36 @@ mod tests {
             .get_or_insert(Q, PlanKey::main(epoch), &g)
             .expect("parses");
         assert!(cache.stats().hits >= 1);
+    }
+
+    /// Between commits every question is a new text at the head key, so
+    /// no entry is at another epoch: the stripe must give up its
+    /// oldest-inserted plan rather than grow past the bound.
+    #[test]
+    fn capacity_bound_holds_within_one_epoch() {
+        let cache = PlanCache::default();
+        let g = graph();
+        let text = |i: usize| format!("SELECT ?s WHERE {{ ?s ?p {i} }}");
+        for i in 0..2 * MAX_ENTRIES {
+            cache
+                .get_or_insert(&text(i), PlanKey::main(0), &g)
+                .expect("parses");
+            let stats = cache.stats();
+            assert!(
+                stats.entries <= MAX_ENTRIES,
+                "bound broken after {} inserts: {stats:?}",
+                i + 1
+            );
+        }
+        let misses = cache.stats().misses;
+        cache
+            .get_or_insert(&text(2 * MAX_ENTRIES - 1), PlanKey::main(0), &g)
+            .expect("parses");
+        assert_eq!(cache.stats().misses, misses, "the newest plan stays");
+        cache
+            .get_or_insert(&text(0), PlanKey::main(0), &g)
+            .expect("parses");
+        assert_eq!(cache.stats().misses, misses + 1, "the oldest plan went");
     }
 
     /// The race the old design documented: lookups racing a commit. With

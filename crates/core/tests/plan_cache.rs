@@ -2,10 +2,12 @@
 //! an unchanged epoch must reuse cached plans (hits grow, misses do
 //! not), the ablation planners must bypass the cache, and committing a
 //! session delta must move the head to a fresh cache partition while
-//! older epochs' entries stay retained for time-travel queries.
+//! older epochs' entries stay retained for time-travel queries. The
+//! cache stays within its 256-entry bound even when every question is a
+//! new text at one epoch.
 
 use feo_core::{EngineBase, ExplainOptions, ExplanationEngine, Question};
-use feo_foodkg::{curated, Season, SystemContext, UserProfile};
+use feo_foodkg::{curated, synthetic, Season, SyntheticConfig, SystemContext, UserProfile};
 use feo_sparql::Planner;
 
 fn base() -> EngineBase {
@@ -129,5 +131,29 @@ fn facade_commit_rekeys_the_head() {
     assert!(
         stats.misses >= 2,
         "post-commit repeats must re-plan against fresh statistics: {stats:?}"
+    );
+}
+
+/// Sessions never commit, so every distinct question is a new text at
+/// the same head key. The cache must still hold at most 256 plans.
+#[test]
+fn distinct_questions_at_one_epoch_stay_within_the_bound() {
+    let kg = synthetic(&SyntheticConfig {
+        recipes: 320,
+        ..Default::default()
+    });
+    let foods: Vec<String> = kg.recipes.iter().map(|r| r.id.clone()).collect();
+    let user = UserProfile::new("user").likes(&[&foods[0]]);
+    let base = EngineBase::new(kg, user, SystemContext::new(Season::Autumn)).unwrap();
+    for food in &foods {
+        let question = Question::WhyEat { food: food.clone() };
+        base.explain(&question, &ExplainOptions::default()).unwrap();
+    }
+    let stats = base.plan_cache_stats();
+    assert_eq!(stats.epoch, 0, "sessions never commit into the base");
+    assert!(stats.misses >= 320, "every CQ1 text is new: {stats:?}");
+    assert!(
+        stats.entries <= 256,
+        "plan cache outgrew its bound: {stats:?}"
     );
 }

@@ -717,8 +717,30 @@ fn fire_rules<V: GraphView + ?Sized>(
     }
 }
 
+/// Whether `satisfies_in` answers `expr` without walking any edge: one
+/// index probe (`Named`, `HasValue`), a list scan (`OneOf`), or the
+/// constant `false` of the open-world constructors.
+fn answers_without_walk(expr: &ClassExpr) -> bool {
+    !matches!(
+        expr,
+        ClassExpr::IntersectionOf(_) | ClassExpr::UnionOf(_) | ClassExpr::SomeValuesFrom { .. }
+    )
+}
+
 /// Read-only dual of `Engine::satisfies`, shared by the sequential and
 /// parallel sweeps so the two cannot drift apart.
+///
+/// Evaluation-order contract: the answer is a pure function of the
+/// graph, so this check is free to order its work by cost, and does.
+/// - `IntersectionOf` tests the conjuncts that answer without walking
+///   edges before any that walk, so a failing `hasValue` rejects a hub
+///   individual before its fan-out is touched.
+/// - `SomeValuesFrom` with a `Named` filler walks the smaller side: x's
+///   p-objects, or the filler's `rdf:type` subjects probed with
+///   `contains_ids(x, p, o)` (sized by `class_instance_count`).
+///
+/// [`witnesses_in`] relies on this returning exactly what its
+/// author-order walk would.
 fn satisfies_in<V: GraphView + ?Sized>(
     g: &V,
     rules: &CompiledRules,
@@ -727,12 +749,28 @@ fn satisfies_in<V: GraphView + ?Sized>(
 ) -> bool {
     match expr {
         ClassExpr::Named(c) => g.contains_ids(x, rules.rdf_type, *c),
-        ClassExpr::IntersectionOf(es) => es.iter().all(|e| satisfies_in(g, rules, x, e)),
+        ClassExpr::IntersectionOf(es) => {
+            es.iter()
+                .filter(|e| answers_without_walk(e))
+                .all(|e| satisfies_in(g, rules, x, e))
+                && es
+                    .iter()
+                    .filter(|e| !answers_without_walk(e))
+                    .all(|e| satisfies_in(g, rules, x, e))
+        }
         ClassExpr::UnionOf(es) => es.iter().any(|e| satisfies_in(g, rules, x, e)),
-        ClassExpr::SomeValuesFrom { property, filler } => g
-            .objects(x, *property)
-            .into_iter()
-            .any(|o| satisfies_in(g, rules, o, filler)),
+        ClassExpr::SomeValuesFrom { property, filler } => {
+            let objects = g.objects(x, *property);
+            match **filler {
+                ClassExpr::Named(c) if g.class_instance_count(c) < objects.len() as u64 => g
+                    .subjects(rules.rdf_type, c)
+                    .into_iter()
+                    .any(|o| g.contains_ids(x, *property, o)),
+                _ => objects
+                    .into_iter()
+                    .any(|o| satisfies_in(g, rules, o, filler)),
+            }
+        }
         ClassExpr::HasValue { property, value } => g.contains_ids(x, *property, *value),
         ClassExpr::OneOf(ids) => ids.contains(&x),
         // Open-world: membership in a complement or universal
@@ -745,6 +783,13 @@ fn satisfies_in<V: GraphView + ?Sized>(
 /// read-only dual of [`satisfies_in`] used for derivation tracking, and
 /// the single implementation behind `Engine::witnesses` so the
 /// sequential and parallel sweeps record identical premises.
+///
+/// Evaluation-order contract: a composite expression is first decided
+/// by the cost-ordered [`satisfies_in`]; only when that holds does the
+/// walk below run, in author order over conjuncts and in object order
+/// over each existential's edges. The first witness that walk meets is
+/// the one recorded, so premises do not depend on how `satisfies_in`
+/// orders its work.
 fn witnesses_in<V: GraphView + ?Sized>(
     g: &V,
     rules: &CompiledRules,
@@ -752,6 +797,9 @@ fn witnesses_in<V: GraphView + ?Sized>(
     expr: &ClassExpr,
     out: &mut Vec<[TermId; 3]>,
 ) -> bool {
+    if !answers_without_walk(expr) && !satisfies_in(g, rules, x, expr) {
+        return false;
+    }
     match expr {
         ClassExpr::Named(c) => {
             if g.contains_ids(x, rules.rdf_type, *c) {
@@ -2099,6 +2147,44 @@ mod tests {
             !has(&g, "spring", rdf::TYPE, "Fact"),
             "spring lacks presence"
         );
+    }
+
+    /// Proofs record the first witness in object order, even where the
+    /// membership check itself walks the filler class instead. In the
+    /// overlay both scans list base matches before delta matches, so the
+    /// hub's first C-typed object (`a`, base edge) differs from C's first
+    /// instance linked from the hub (`b`, base typing).
+    #[test]
+    fn proofs_record_the_object_order_witness() {
+        let mut base = graph(
+            "e:D owl:equivalentClass [\n\
+               a owl:Restriction ; owl:onProperty e:p ; owl:someValuesFrom e:C ] .\n\
+             e:h e:p e:a, e:f1, e:f2, e:f3, e:f4, e:f5, e:f6, e:f7, e:f8 .\n\
+             e:b a e:C .",
+        );
+        Reasoner::new()
+            .materialize(&mut base, &Default::default())
+            .expect("materialize");
+        assert!(!has(&base, "h", rdf::TYPE, "D"), "no witness in the base");
+        let id = |n: &str| base.lookup_iri(&format!("http://e/{n}")).expect("interned");
+        let (h, p, a, b, c, d) = (id("h"), id("p"), id("a"), id("b"), id("C"), id("D"));
+        let ty = base.lookup_iri(rdf::TYPE).expect("interned");
+
+        let mut overlay = Overlay::new(&base);
+        overlay.insert_ids(h, p, b);
+        overlay.insert_ids(a, ty, c);
+        // The check takes the smaller side here: 2 instances of C
+        // against 10 p-objects of the hub.
+        assert!(overlay.class_instance_count(c) < overlay.objects(h, p).len() as u64);
+        let result = Reasoner::with_options(ReasonerOptions {
+            track_derivations: true,
+            ..Default::default()
+        })
+        .materialize_delta(&mut overlay, &Default::default())
+        .expect("materialize");
+        let proof = &result.derivations[&[h, ty, d]];
+        assert_eq!(proof.rule, "cls");
+        assert_eq!(proof.premises, vec![[h, p, a], [a, ty, c]]);
     }
 
     #[test]
