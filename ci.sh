@@ -43,8 +43,8 @@ RUSTFLAGS="${RUSTFLAGS:-} -D deprecated" cargo check --workspace --all-targets -
 
 echo "== tier-1: release build + tests (sequential: FEO_THREADS=1)"
 # The default Parallelism::Auto honours FEO_THREADS, so the same suite
-# run at 1 and 4 workers exercises both the sequential and the parallel
-# code paths end to end.
+# runs at 1 and 4 workers: join rows inline and in pool chunks, and the
+# reasoner's worklist and round drains, end to end.
 cargo build --release --offline
 FEO_THREADS=1 cargo test -q --offline
 

@@ -11,6 +11,11 @@
 //!  2. full closure of the 1000-recipe synthetic KG;
 //!  3. a 64-question `explain_batch` over a 200-recipe `EngineBase`.
 //!
+//! A fourth rung times one wide planned SPARQL join (recipes, their
+//! ingredients, the ingredients' nutrients) over the 1000-recipe KG at
+//! 2 workers against `Off`: the intra-query join fan-out that the
+//! question-level workloads never reach.
+//!
 //! The 1-worker arm runs the identical sequential code path as `Off`
 //! (the dispatcher never spawns below two workers), so its ratio is the
 //! overhead of the parallel infrastructure itself — the acceptance
@@ -28,6 +33,7 @@ use feo_core::ecosystem::assemble;
 use feo_core::{EngineBase, ExplainOptions, Hypothesis, Population, Question};
 use feo_owl::{MaterializeOptions, Reasoner};
 use feo_rdf::{Graph, Parallelism};
+use feo_sparql::{query, QueryOptions, QueryResult};
 
 struct Params {
     warmup: usize,
@@ -92,24 +98,19 @@ fn one_materialize(template: &Graph, rules: &feo_owl::CompiledRules, p: Parallel
     started.elapsed()
 }
 
-/// `parallel/off` time ratio for a full closure at `workers`.
-fn measure_closure(
-    template: &Graph,
-    rules: &feo_owl::CompiledRules,
-    workers: usize,
-    params: &Params,
-) -> f64 {
+/// `parallel/off` time ratio of `run` at `workers`, after `warmup`
+/// unmeasured rounds of both arms.
+fn measure(workers: usize, params: &Params, mut run: impl FnMut(Parallelism) -> Duration) -> f64 {
     for _ in 0..params.warmup {
-        one_materialize(template, rules, Parallelism::Fixed(workers));
-        one_materialize(template, rules, Parallelism::Off);
+        run(Parallelism::Fixed(workers));
+        run(Parallelism::Off);
     }
     paired_ratio(params, |parallel| {
-        let p = if parallel {
+        run(if parallel {
             Parallelism::Fixed(workers)
         } else {
             Parallelism::Off
-        };
-        one_materialize(template, rules, p)
+        })
     })
 }
 
@@ -153,24 +154,23 @@ fn one_batch(base: &EngineBase, questions: &[Question], p: Parallelism) -> Durat
     started.elapsed()
 }
 
-fn measure_batch(
-    base: &EngineBase,
-    questions: &[Question],
-    workers: usize,
-    params: &Params,
-) -> f64 {
-    for _ in 0..params.warmup {
-        one_batch(base, questions, Parallelism::Fixed(workers));
-        one_batch(base, questions, Parallelism::Off);
-    }
-    paired_ratio(params, |parallel| {
-        let p = if parallel {
-            Parallelism::Fixed(workers)
-        } else {
-            Parallelism::Off
-        };
-        one_batch(base, questions, p)
-    })
+/// The join rung's query: a 1000-row recipe scan widened by two
+/// planned joins, so the later steps see well over
+/// `PARALLEL_MIN_INPUT` input rows.
+const JOIN_QUERY: &str = "PREFIX food: <http://purl.org/heals/food#> \
+     SELECT ?r ?i ?n WHERE { ?r a food:Recipe . ?r food:hasIngredient ?i . \
+     ?i food:hasNutrient ?n }";
+
+fn one_join(graph: &Graph, p: Parallelism) -> Duration {
+    let opts = QueryOptions {
+        parallelism: p,
+        ..Default::default()
+    };
+    let started = Instant::now();
+    // `main` ran the query once before timing, so an error here cannot
+    // hide behind a fast arm.
+    let _ = std::hint::black_box(query(graph, JOIN_QUERY, &opts));
+    started.elapsed()
 }
 
 struct Row {
@@ -181,7 +181,7 @@ struct Row {
 
 fn main() {
     let smoke = std::env::args().any(|arg| arg == "--smoke");
-    let (closure200, closure1000, batch) = if smoke {
+    let (closure200, closure1000, batch, join) = if smoke {
         (
             Params {
                 warmup: 1,
@@ -192,6 +192,11 @@ fn main() {
                 warmup: 0,
                 repeats: 1,
                 pairs: 1,
+            },
+            Params {
+                warmup: 1,
+                repeats: 2,
+                pairs: 2,
             },
             Params {
                 warmup: 1,
@@ -216,6 +221,11 @@ fn main() {
                 repeats: 5,
                 pairs: 10,
             },
+            Params {
+                warmup: 3,
+                repeats: 7,
+                pairs: 20,
+            },
         )
     };
     println!(
@@ -228,7 +238,9 @@ fn main() {
     let (template, rules) = closure_fixture(200);
     println!("  full closure, 200-recipe synthetic KG:");
     for workers in WORKERS {
-        let ratio = measure_closure(&template, &rules, workers, &closure200);
+        let ratio = measure(workers, &closure200, |p| {
+            one_materialize(&template, &rules, p)
+        });
         println!(
             "    {workers} workers: parallel/off = {ratio:.4} ({:.2}x)",
             1.0 / ratio
@@ -243,7 +255,9 @@ fn main() {
     let (template, rules) = closure_fixture(1000);
     println!("  full closure, 1000-recipe synthetic KG:");
     for workers in WORKERS {
-        let ratio = measure_closure(&template, &rules, workers, &closure1000);
+        let ratio = measure(workers, &closure1000, |p| {
+            one_materialize(&template, &rules, p)
+        });
         println!(
             "    {workers} workers: parallel/off = {ratio:.4} ({:.2}x)",
             1.0 / ratio
@@ -255,10 +269,42 @@ fn main() {
         });
     }
 
+    // The join rung reuses the 1000-recipe assembled graph: the three
+    // patterns it joins are all asserted, none inferred.
+    let plan = QueryOptions {
+        explain: true,
+        ..Default::default()
+    };
+    let fanned_steps = match query(&template, JOIN_QUERY, &plan) {
+        Ok(QueryResult::Plan(text)) => text.matches(" par").count(),
+        _ => 0,
+    };
+    let joined = match query(&template, JOIN_QUERY, &QueryOptions::default()) {
+        Ok(QueryResult::Solutions(table)) => table.len(),
+        other => {
+            eprintln!("the join rung's query failed: {other:?}");
+            std::process::exit(1);
+        }
+    };
+    println!(
+        "  planned 3-pattern join, 1000-recipe synthetic KG ({joined} rows, \
+         {fanned_steps} par-marked steps):"
+    );
+    let ratio = measure(2, &join, |p| one_join(&template, p));
+    println!(
+        "    2 workers: parallel/off = {ratio:.4} ({:.2}x)",
+        1.0 / ratio
+    );
+    rows.push(Row {
+        workload: "join_1000",
+        workers: 2,
+        ratio,
+    });
+
     let (base, questions) = batch_fixture();
     println!("  64-question explain_batch, 200-recipe EngineBase:");
     for workers in WORKERS {
-        let ratio = measure_batch(&base, &questions, workers, &batch);
+        let ratio = measure(workers, &batch, |p| one_batch(&base, &questions, p));
         println!(
             "    {workers} workers: parallel/off = {ratio:.4} ({:.2}x)",
             1.0 / ratio

@@ -164,8 +164,7 @@ impl DiskStore {
                 f.sync_all()
                     .map_err(|e| StoreError::io("fsync", &wal_path, e))?;
             } else {
-                std::fs::write(&wal_path, wal::header())
-                    .map_err(|e| StoreError::io("write", &wal_path, e))?;
+                write_durable(&wal_path, &wal::header())?;
             }
         }
         // Each record's triples may only reference the dictionary as it

@@ -11,6 +11,10 @@
 //! order. Because every item is processed independently against the same
 //! immutable view, concatenating chunk outputs in pinned order
 //! reproduces exactly the sequence a single thread would have produced.
+//! A caller therefore needs no sequential twin: the SPARQL join
+//! operators run one probe body through `map_chunks` or inline, and
+//! only the worker count differs. (The reasoner still keeps a
+//! worklist drain beside its round drain.)
 //!
 //! The [`Parallelism`] knob travels on the per-layer options structs
 //! (`MaterializeOptions`, `QueryOptions`, `ExplainOptions`). `Auto`
@@ -24,8 +28,8 @@ const MAX_WORKERS: usize = 64;
 
 /// How many worker threads a parallel-capable execution may use.
 ///
-/// * `Off` — strictly sequential; parallel code paths are bypassed
-///   entirely (the ≤ 5% overhead contract is really ~0%).
+/// * `Off` — one worker: every loop runs inline on the calling thread
+///   and no pool code runs (the ≤ 5% overhead contract is really ~0%).
 /// * `Fixed(n)` — exactly `n` workers regardless of environment.
 /// * `Auto` — the `FEO_THREADS` environment variable when set, otherwise
 ///   the machine's available parallelism.
@@ -57,11 +61,6 @@ impl Parallelism {
                     .min(MAX_WORKERS),
             },
         }
-    }
-
-    /// True when the resolved worker count allows actual fan-out.
-    pub fn is_parallel(self) -> bool {
-        self.workers() > 1
     }
 }
 
@@ -157,7 +156,6 @@ mod tests {
     #[test]
     fn off_resolves_to_one_worker() {
         assert_eq!(Parallelism::Off.workers(), 1);
-        assert!(!Parallelism::Off.is_parallel());
     }
 
     #[test]

@@ -50,8 +50,8 @@ static MERGE_JOINS: AtomicU64 = AtomicU64::new(0);
 static LEAPFROG_JOINS: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the cumulative per-algorithm join-operator counts for
-/// this process (sequential and parallel variants count together; a
-/// fused leapfrog group counts once however many patterns it covers).
+/// this process (at any worker count; a fused leapfrog group counts
+/// once however many patterns it covers).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JoinCounters {
     pub nested: u64,
@@ -387,17 +387,6 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
         Ok(())
     }
 
-    /// Charges `n` produced join rows against the solution budget.
-    fn charge_solutions(&self, n: usize) -> Result<()> {
-        if let Some(g) = self.guard {
-            if let Err(exhausted) = g.add_solutions(n as u64) {
-                self.tripped.set(Some(exhausted));
-                return Err(SparqlError::Exhausted(exhausted));
-            }
-        }
-        Ok(())
-    }
-
     // ---- group patterns ------------------------------------------------
 
     /// Evaluates one group pattern, walking `plan` in lockstep with
@@ -604,27 +593,9 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
             };
             let wide = forced || rows.len() >= HASH_JOIN_MIN_INPUT;
             rows = match algo {
-                JoinAlgo::Hash if wide => {
-                    if par {
-                        self.match_triple_pattern_hash_par(tp, rows)?
-                    } else {
-                        self.match_triple_pattern_hash(tp, rows)?
-                    }
-                }
-                JoinAlgo::Merge if wide => {
-                    if par {
-                        self.match_triple_pattern_merge_par(tp, rows)?
-                    } else {
-                        self.match_triple_pattern_merge(tp, rows)?
-                    }
-                }
-                _ => {
-                    if par {
-                        self.match_triple_pattern_par(tp, rows)?
-                    } else {
-                        self.match_triple_pattern(tp, rows)?
-                    }
-                }
+                JoinAlgo::Hash if wide => self.match_triple_pattern_hash(tp, rows, par)?,
+                JoinAlgo::Merge if wide => self.match_triple_pattern_merge(tp, rows, par)?,
+                _ => self.match_triple_pattern(tp, rows, par)?,
             };
             if rows.is_empty() {
                 break;
@@ -634,437 +605,28 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
         Ok(rows)
     }
 
+    /// Nested-loop join: each input row runs its own index range scan,
+    /// narrowed by the row's bindings; a variable repeated in the
+    /// pattern (`?x p ?x`) keeps only matches that agree on it. Ground
+    /// terms and the predicate resolve once up front. Complex property
+    /// paths run their closure evaluator, which records trips on
+    /// `self`, on the calling thread whatever `par` says.
     fn match_triple_pattern(
         &mut self,
         tp: &TriplePattern,
         rows: Vec<Binding>,
+        par: bool,
     ) -> Result<Vec<Binding>> {
         NESTED_JOINS.fetch_add(1, Ordering::Relaxed);
-        let mut uncharged: usize = 0;
-        let mut out = Vec::new();
-        for b in rows {
-            let produced_before = out.len();
-            let s_slot = self.term_slot(&tp.subject);
-            let o_slot = self.term_slot(&tp.object);
-            let s_val = self.term_value(&tp.subject, &b)?;
-            let o_val = self.term_value(&tp.object, &b)?;
-
-            match &tp.path {
-                Path::Var(pv) => {
-                    let p_slot = self.vars.get(pv);
-                    let p_val = p_slot.and_then(|s| b[s]);
-                    for [ms, mp, mo] in self.g.match_pattern(s_val, p_val, o_val) {
-                        let mut nb = b.clone();
-                        if let Some(slot) = s_slot {
-                            nb[slot] = Some(ms);
-                        }
-                        if let Some(slot) = p_slot {
-                            nb[slot] = Some(mp);
-                        }
-                        if let Some(slot) = o_slot {
-                            nb[slot] = Some(mo);
-                        }
-                        out.push(nb);
-                    }
-                }
-                Path::Iri(p) => {
-                    let p_id = self.g.lookup_iri(p);
-                    let Some(p_id) = p_id else { continue };
-                    for [ms, _, mo] in self.g.match_pattern(s_val, Some(p_id), o_val) {
-                        let mut nb = b.clone();
-                        if let Some(slot) = s_slot {
-                            nb[slot] = Some(ms);
-                        }
-                        if let Some(slot) = o_slot {
-                            nb[slot] = Some(mo);
-                        }
-                        out.push(nb);
-                    }
-                }
-                path => {
-                    for (ms, mo) in self.eval_path(path, s_val, o_val) {
-                        let mut nb = b.clone();
-                        if let Some(slot) = s_slot {
-                            nb[slot] = Some(ms);
-                        }
-                        if let Some(slot) = o_slot {
-                            nb[slot] = Some(mo);
-                        }
-                        out.push(nb);
-                    }
-                }
-            }
-            uncharged += out.len() - produced_before;
-            if uncharged >= CHARGE_BATCH {
-                self.charge_solutions(uncharged)?;
-                uncharged = 0;
-            }
-        }
-        self.charge_solutions(uncharged)?;
-        Ok(out)
-    }
-
-    /// Hash-join variant of [`Self::match_triple_pattern`] for plain-IRI
-    /// predicates: one index scan over the pattern's predicate (narrowed
-    /// by any ground endpoints) builds the join side, then each input
-    /// row probes hash maps instead of running its own B-tree range
-    /// scan. Probe structures are built lazily per boundness signature,
-    /// because rows in one solution set can differ in which endpoint
-    /// variables they bind (OPTIONAL, UNION).
-    fn match_triple_pattern_hash(
-        &mut self,
-        tp: &TriplePattern,
-        rows: Vec<Binding>,
-    ) -> Result<Vec<Binding>> {
-        let Path::Iri(p) = &tp.path else {
-            // Planner only marks plain predicates; stay correct anyway.
-            return self.match_triple_pattern(tp, rows);
-        };
-        HASH_JOINS.fetch_add(1, Ordering::Relaxed);
-        let Some(p_id) = self.g.lookup_iri(p) else {
-            // Unknown predicate: every row finds nothing.
-            return Ok(Vec::new());
-        };
         let s_slot = self.term_slot(&tp.subject);
         let o_slot = self.term_slot(&tp.object);
-        let s_ground = match &tp.subject {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
-        };
-        let o_ground = match &tp.object {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
-        };
-        let scan: Vec<[TermId; 3]> = self.g.match_pattern(s_ground, Some(p_id), o_ground);
-        let mut by_s: Option<HashMap<TermId, Vec<usize>>> = None;
-        let mut by_o: Option<HashMap<TermId, Vec<usize>>> = None;
-        let mut by_so: Option<HashSet<(TermId, TermId)>> = None;
-        let mut out = Vec::new();
-        let mut uncharged: usize = 0;
-        for b in rows {
-            let produced_before = out.len();
-            let s_val = s_slot.and_then(|slot| b[slot]);
-            let o_val = o_slot.and_then(|slot| b[slot]);
-            match (s_val, o_val) {
-                (Some(sv), Some(ov)) => {
-                    let set =
-                        by_so.get_or_insert_with(|| scan.iter().map(|t| (t[0], t[2])).collect());
-                    if set.contains(&(sv, ov)) {
-                        out.push(b);
-                    }
-                }
-                (Some(sv), None) => {
-                    let map = by_s.get_or_insert_with(|| index_scan(&scan, 0));
-                    if let Some(hits) = map.get(&sv) {
-                        for &i in hits {
-                            let mut nb = b.clone();
-                            if bind(&mut nb, o_slot, scan[i][2]) {
-                                out.push(nb);
-                            }
-                        }
-                    }
-                }
-                (None, Some(ov)) => {
-                    let map = by_o.get_or_insert_with(|| index_scan(&scan, 2));
-                    if let Some(hits) = map.get(&ov) {
-                        for &i in hits {
-                            let mut nb = b.clone();
-                            if bind(&mut nb, s_slot, scan[i][0]) {
-                                out.push(nb);
-                            }
-                        }
-                    }
-                }
-                (None, None) => {
-                    for t in &scan {
-                        let mut nb = b.clone();
-                        if bind(&mut nb, s_slot, t[0]) && bind(&mut nb, o_slot, t[2]) {
-                            out.push(nb);
-                        }
-                    }
-                }
-            }
-            uncharged += out.len() - produced_before;
-            if uncharged >= CHARGE_BATCH {
-                self.charge_solutions(uncharged)?;
-                uncharged = 0;
-            }
-        }
-        self.charge_solutions(uncharged)?;
-        Ok(out)
-    }
-
-    /// Sorted-merge variant of [`Self::match_triple_pattern_hash`]: the
-    /// planner marks joins whose one-predicate scan arrives already
-    /// ordered on the join column (`pos` scans sort by object, per-
-    /// subject `spo` scans by object, per-object scans by subject), so
-    /// instead of hashing the scan this operator binary-searches a
-    /// sorted key directory built in one linear pass. Layered views
-    /// concatenate per-layer sorted ranges; a linear sortedness check
-    /// catches that case and one stable sort by key restores the
-    /// directory invariant while keeping per-key hits in scan order —
-    /// the exact hit sequence the hash path's index map yields, so
-    /// results stay byte-identical. Rows whose boundness does not match
-    /// the key column (OPTIONAL / UNION mixtures) fall back to the same
-    /// lazily built hash index the hash operator uses.
-    fn match_triple_pattern_merge(
-        &mut self,
-        tp: &TriplePattern,
-        rows: Vec<Binding>,
-    ) -> Result<Vec<Binding>> {
-        let Path::Iri(p) = &tp.path else {
-            // Planner only marks plain predicates; stay correct anyway.
-            return self.match_triple_pattern(tp, rows);
-        };
-        MERGE_JOINS.fetch_add(1, Ordering::Relaxed);
-        let Some(p_id) = self.g.lookup_iri(p) else {
-            // Unknown predicate: every row finds nothing.
-            return Ok(Vec::new());
-        };
-        let s_slot = self.term_slot(&tp.subject);
-        let o_slot = self.term_slot(&tp.object);
-        let s_ground = match &tp.subject {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
-        };
-        let o_ground = match &tp.object {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
-        };
-        let scan: Vec<[TermId; 3]> = self.g.match_pattern(s_ground, Some(p_id), o_ground);
-        let key_col = merge_key_col(s_ground, o_ground);
-        let dir = KeyDirectory::build(&scan, key_col);
-        let mut fallback: Option<HashMap<TermId, Vec<usize>>> = None;
-        let mut out = Vec::new();
-        let mut uncharged: usize = 0;
-        for b in rows {
-            let produced_before = out.len();
-            let s_val = s_slot.and_then(|slot| b[slot]);
-            let o_val = o_slot.and_then(|slot| b[slot]);
-            match (s_val, o_val) {
-                (Some(sv), Some(ov)) => {
-                    let (kv, other_col, other_v) = if key_col == 0 {
-                        (sv, 2, ov)
-                    } else {
-                        (ov, 0, sv)
-                    };
-                    if dir.hits(kv).iter().any(|&i| scan[i][other_col] == other_v) {
-                        out.push(b);
-                    }
-                }
-                (Some(sv), None) if key_col == 0 => {
-                    for &i in dir.hits(sv) {
-                        let mut nb = b.clone();
-                        if bind(&mut nb, o_slot, scan[i][2]) {
-                            out.push(nb);
-                        }
-                    }
-                }
-                (None, Some(ov)) if key_col == 2 => {
-                    for &i in dir.hits(ov) {
-                        let mut nb = b.clone();
-                        if bind(&mut nb, s_slot, scan[i][0]) {
-                            out.push(nb);
-                        }
-                    }
-                }
-                (Some(sv), None) => {
-                    let map = fallback.get_or_insert_with(|| index_scan(&scan, 0));
-                    if let Some(hits) = map.get(&sv) {
-                        for &i in hits {
-                            let mut nb = b.clone();
-                            if bind(&mut nb, o_slot, scan[i][2]) {
-                                out.push(nb);
-                            }
-                        }
-                    }
-                }
-                (None, Some(ov)) => {
-                    let map = fallback.get_or_insert_with(|| index_scan(&scan, 2));
-                    if let Some(hits) = map.get(&ov) {
-                        for &i in hits {
-                            let mut nb = b.clone();
-                            if bind(&mut nb, s_slot, scan[i][0]) {
-                                out.push(nb);
-                            }
-                        }
-                    }
-                }
-                (None, None) => {
-                    for t in &scan {
-                        let mut nb = b.clone();
-                        if bind(&mut nb, s_slot, t[0]) && bind(&mut nb, o_slot, t[2]) {
-                            out.push(nb);
-                        }
-                    }
-                }
-            }
-            uncharged += out.len() - produced_before;
-            if uncharged >= CHARGE_BATCH {
-                self.charge_solutions(uncharged)?;
-                uncharged = 0;
-            }
-        }
-        self.charge_solutions(uncharged)?;
-        Ok(out)
-    }
-
-    /// Parallel dual of [`Self::match_triple_pattern_merge`]: the key
-    /// directory is built once up front (it is a shared read-only
-    /// structure like the hash path's shards), rows probe it in
-    /// contiguous chunks, and chunk outputs concatenate in pinned input
-    /// order — the solution sequence matches the sequential merge for
-    /// every worker count. Off-key fallback rows are detected in one
-    /// boundness pass so the fallback hash shards exist before workers
-    /// start.
-    fn match_triple_pattern_merge_par(
-        &mut self,
-        tp: &TriplePattern,
-        rows: Vec<Binding>,
-    ) -> Result<Vec<Binding>> {
-        let Path::Iri(p) = &tp.path else {
-            // Planner only marks plain predicates; stay correct anyway.
-            return self.match_triple_pattern(tp, rows);
-        };
-        MERGE_JOINS.fetch_add(1, Ordering::Relaxed);
-        let Some(p_id) = self.g.lookup_iri(p) else {
-            // Unknown predicate: every row finds nothing.
-            return Ok(Vec::new());
-        };
-        let s_slot = self.term_slot(&tp.subject);
-        let o_slot = self.term_slot(&tp.object);
-        let s_ground = match &tp.subject {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
-        };
-        let o_ground = match &tp.object {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
-        };
-        let scan: Vec<[TermId; 3]> = self.g.match_pattern(s_ground, Some(p_id), o_ground);
-        let key_col = merge_key_col(s_ground, o_ground);
-        let dir = KeyDirectory::build(&scan, key_col);
-        // One boundness pass decides whether any row joins on the
-        // non-key column and needs the hash fallback shards.
-        let mut need_fallback = false;
-        for b in &rows {
-            let sb = s_slot.and_then(|sl| b[sl]).is_some();
-            let ob = o_slot.and_then(|sl| b[sl]).is_some();
-            need_fallback |= if key_col == 0 { !sb && ob } else { sb && !ob };
-        }
-        let other_col = if key_col == 0 { 2 } else { 0 };
-        let workers = self.workers;
-        let fallback = need_fallback.then(|| build_shards(workers, &scan, other_col));
-        let guard = self.guard;
-        let results = map_chunks(workers, PARALLEL_MIN_INPUT, &rows, |_, chunk| {
-            let mut out: Vec<Binding> = Vec::new();
-            let mut uncharged = 0usize;
-            let mut trip: Option<Exhausted> = None;
-            for b in chunk {
-                if let Some(gd) = guard {
-                    if let Err(e) = gd.check_time() {
-                        trip = Some(e);
-                        break;
-                    }
-                }
-                let before = out.len();
-                let s_val = s_slot.and_then(|sl| b[sl]);
-                let o_val = o_slot.and_then(|sl| b[sl]);
-                match (s_val, o_val) {
-                    (Some(sv), Some(ov)) => {
-                        let (kv, oc, other_v) = if key_col == 0 {
-                            (sv, 2, ov)
-                        } else {
-                            (ov, 0, sv)
-                        };
-                        if dir.hits(kv).iter().any(|&i| scan[i][oc] == other_v) {
-                            out.push(b.clone());
-                        }
-                    }
-                    (Some(sv), None) if key_col == 0 => {
-                        for &i in dir.hits(sv) {
-                            let mut nb = b.clone();
-                            if bind(&mut nb, o_slot, scan[i][2]) {
-                                out.push(nb);
-                            }
-                        }
-                    }
-                    (None, Some(ov)) if key_col == 2 => {
-                        for &i in dir.hits(ov) {
-                            let mut nb = b.clone();
-                            if bind(&mut nb, s_slot, scan[i][0]) {
-                                out.push(nb);
-                            }
-                        }
-                    }
-                    (Some(v), None) | (None, Some(v)) => {
-                        // Off-key join: probe the fallback shards in
-                        // chunk order (ascending global indices, same
-                        // as the sequential lazy map).
-                        let (bind_slot, bind_col) = if key_col == 0 {
-                            (s_slot, 0)
-                        } else {
-                            (o_slot, 2)
-                        };
-                        for shard in fallback.iter().flatten() {
-                            if let Some(hits) = shard.get(&v) {
-                                for &i in hits {
-                                    let mut nb = b.clone();
-                                    if bind(&mut nb, bind_slot, scan[i][bind_col]) {
-                                        out.push(nb);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    (None, None) => {
-                        for t in &scan {
-                            let mut nb = b.clone();
-                            if bind(&mut nb, s_slot, t[0]) && bind(&mut nb, o_slot, t[2]) {
-                                out.push(nb);
-                            }
-                        }
-                    }
-                }
-                uncharged += out.len() - before;
-                if uncharged >= CHARGE_BATCH {
-                    if let Err(e) = charge(guard, &mut uncharged) {
-                        trip = Some(e);
-                        break;
-                    }
-                }
-            }
-            if trip.is_none() {
-                trip = charge(guard, &mut uncharged).err();
-            }
-            (out, trip)
-        });
-        self.merge_partitions(results)
-    }
-
-    /// Row-partitioned dual of [`Self::match_triple_pattern`] for simple
-    /// (plain-IRI or variable) predicates: ground terms are interned
-    /// once up front, then input rows split into contiguous chunks and
-    /// workers match read-only against the shared view. Chunk outputs
-    /// concatenate in pinned input order, so the solution sequence is
-    /// identical to the sequential loop's. Workers charge the shared
-    /// guard directly (its counters are atomic); a trip stops the
-    /// worker's chunk and surfaces as a typed error after the merge —
-    /// overshoot is bounded by one charge batch per worker.
-    fn match_triple_pattern_par(
-        &mut self,
-        tp: &TriplePattern,
-        rows: Vec<Binding>,
-    ) -> Result<Vec<Binding>> {
-        let s_slot = self.term_slot(&tp.subject);
-        let o_slot = self.term_slot(&tp.object);
-        let s_ground = match &tp.subject {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
-        };
-        let o_ground = match &tp.object {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
+        let s_ground = self.ground_id(&tp.subject)?;
+        let o_ground = self.ground_id(&tp.object)?;
+        let endpoints = move |b: &Binding| {
+            (
+                s_ground.or_else(|| s_slot.and_then(|sl| b[sl])),
+                o_ground.or_else(|| o_slot.and_then(|sl| b[sl])),
+            )
         };
         let (p_fixed, p_slot) = match &tp.path {
             Path::Iri(p) => match self.g.lookup_iri(p) {
@@ -1073,72 +635,55 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
                 None => return Ok(Vec::new()),
             },
             Path::Var(v) => (None, self.vars.get(v)),
-            // Complex paths keep the sequential closure evaluator.
-            _ => return self.match_triple_pattern(tp, rows),
+            path => {
+                let this = &*self;
+                let chunk = probe_rows(self.guard, rows, |b, out| {
+                    let (s_val, o_val) = endpoints(&b);
+                    for (ms, mo) in this.eval_path(path, s_val, o_val) {
+                        let mut nb = b.clone();
+                        if bind(&mut nb, s_slot, ms) && bind(&mut nb, o_slot, mo) {
+                            out.push(nb);
+                        }
+                    }
+                });
+                return self.merge_partitions(vec![chunk]);
+            }
         };
-        NESTED_JOINS.fetch_add(1, Ordering::Relaxed);
         let g = &self.g;
-        let guard = self.guard;
-        let results = map_chunks(self.workers, PARALLEL_MIN_INPUT, &rows, |_, chunk| {
-            let mut out: Vec<Binding> = Vec::new();
-            let mut uncharged = 0usize;
-            let mut trip: Option<Exhausted> = None;
-            for b in chunk {
-                if let Some(gd) = guard {
-                    if let Err(e) = gd.check_time() {
-                        trip = Some(e);
-                        break;
-                    }
-                }
-                let s_val = s_ground.or_else(|| s_slot.and_then(|sl| b[sl]));
-                let o_val = o_ground.or_else(|| o_slot.and_then(|sl| b[sl]));
-                let p_val = p_fixed.or_else(|| p_slot.and_then(|sl| b[sl]));
-                let before = out.len();
-                for [ms, mp, mo] in g.match_pattern(s_val, p_val, o_val) {
-                    let mut nb = b.clone();
-                    if let Some(slot) = s_slot {
-                        nb[slot] = Some(ms);
-                    }
-                    if let Some(slot) = p_slot {
-                        nb[slot] = Some(mp);
-                    }
-                    if let Some(slot) = o_slot {
-                        nb[slot] = Some(mo);
-                    }
+        self.join_rows(rows, par, |b, out| {
+            let (s_val, o_val) = endpoints(&b);
+            let p_val = p_fixed.or_else(|| p_slot.and_then(|sl| b[sl]));
+            for [ms, mp, mo] in g.match_pattern(s_val, p_val, o_val) {
+                let mut nb = b.clone();
+                if bind(&mut nb, s_slot, ms)
+                    && bind(&mut nb, p_slot, mp)
+                    && bind(&mut nb, o_slot, mo)
+                {
                     out.push(nb);
                 }
-                uncharged += out.len() - before;
-                if uncharged >= CHARGE_BATCH {
-                    if let Err(e) = charge(guard, &mut uncharged) {
-                        trip = Some(e);
-                        break;
-                    }
-                }
             }
-            if trip.is_none() {
-                trip = charge(guard, &mut uncharged).err();
-            }
-            (out, trip)
-        });
-        self.merge_partitions(results)
+        })
     }
 
-    /// Parallel dual of [`Self::match_triple_pattern_hash`]: the build
-    /// side hashes in sharded chunks across the pool (each worker hashes
-    /// one contiguous slice of the scan, keyed by global scan index),
-    /// then input rows probe the shards in parallel. Probing consults
-    /// shards in chunk order and shard hit lists are ascending, so per
-    /// key the concatenated hits reproduce exactly the single-map scan
-    /// order — the output multiset and sequence match the sequential
-    /// path for every worker count.
-    fn match_triple_pattern_hash_par(
+    /// Hash-join variant of [`Self::match_triple_pattern`] for plain-IRI
+    /// predicates: one index scan over the pattern's predicate (narrowed
+    /// by any ground endpoints) builds the join side, then each input
+    /// row probes hash maps instead of running its own B-tree range
+    /// scan. Rows in one solution set can differ in which endpoint
+    /// variables they bind (OPTIONAL, UNION), so one boundness pass
+    /// decides which probe structures to build. Each subject/object
+    /// index is a list of shards hashed from contiguous slices of the
+    /// scan and keyed by global scan index; probing the shards in order
+    /// yields per-key hits in scan order for every worker count.
+    fn match_triple_pattern_hash(
         &mut self,
         tp: &TriplePattern,
         rows: Vec<Binding>,
+        par: bool,
     ) -> Result<Vec<Binding>> {
         let Path::Iri(p) = &tp.path else {
             // Planner only marks plain predicates; stay correct anyway.
-            return self.match_triple_pattern(tp, rows);
+            return self.match_triple_pattern(tp, rows, par);
         };
         HASH_JOINS.fetch_add(1, Ordering::Relaxed);
         let Some(p_id) = self.g.lookup_iri(p) else {
@@ -1147,17 +692,9 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
         };
         let s_slot = self.term_slot(&tp.subject);
         let o_slot = self.term_slot(&tp.object);
-        let s_ground = match &tp.subject {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
-        };
-        let o_ground = match &tp.object {
-            TermPattern::Var(_) | TermPattern::Blank(_) => None,
-            ground => Some(self.intern_ground(ground)?),
-        };
+        let s_ground = self.ground_id(&tp.subject)?;
+        let o_ground = self.ground_id(&tp.object)?;
         let scan: Vec<[TermId; 3]> = self.g.match_pattern(s_ground, Some(p_id), o_ground);
-        // One cheap pass decides which probe structures the row set
-        // needs (rows can differ in boundness under OPTIONAL / UNION).
         let (mut need_s, mut need_o, mut need_so) = (false, false, false);
         for b in &rows {
             let sb = s_slot.and_then(|sl| b[sl]).is_some();
@@ -1169,79 +706,112 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
                 (false, false) => {}
             }
         }
-        let workers = self.workers;
-        let by_s = need_s.then(|| build_shards(workers, &scan, 0));
-        let by_o = need_o.then(|| build_shards(workers, &scan, 2));
-        let by_so: Option<HashSet<(TermId, TermId)>> =
-            need_so.then(|| scan.iter().map(|t| (t[0], t[2])).collect());
-        let guard = self.guard;
-        let results = map_chunks(workers, PARALLEL_MIN_INPUT, &rows, |_, chunk| {
-            let mut out: Vec<Binding> = Vec::new();
-            let mut uncharged = 0usize;
-            let mut trip: Option<Exhausted> = None;
-            for b in chunk {
-                if let Some(gd) = guard {
-                    if let Err(e) = gd.check_time() {
-                        trip = Some(e);
-                        break;
+        let workers = if par { self.workers } else { 1 };
+        let by_s = if need_s {
+            build_shards(workers, &scan, 0)
+        } else {
+            Vec::new()
+        };
+        let by_o = if need_o {
+            build_shards(workers, &scan, 2)
+        } else {
+            Vec::new()
+        };
+        let by_so: HashSet<(TermId, TermId)> = if need_so {
+            scan.iter().map(|t| (t[0], t[2])).collect()
+        } else {
+            HashSet::new()
+        };
+        self.join_rows(rows, par, |b, out| {
+            match (s_slot.and_then(|sl| b[sl]), o_slot.and_then(|sl| b[sl])) {
+                (Some(sv), Some(ov)) => {
+                    if by_so.contains(&(sv, ov)) {
+                        out.push(b);
                     }
                 }
-                let before = out.len();
-                let s_val = s_slot.and_then(|sl| b[sl]);
-                let o_val = o_slot.and_then(|sl| b[sl]);
-                match (s_val, o_val) {
-                    (Some(sv), Some(ov)) => {
-                        if by_so.as_ref().is_some_and(|set| set.contains(&(sv, ov))) {
-                            out.push(b.clone());
-                        }
-                    }
-                    (Some(sv), None) => {
-                        for shard in by_s.iter().flatten() {
-                            if let Some(hits) = shard.get(&sv) {
-                                for &i in hits {
-                                    let mut nb = b.clone();
-                                    if bind(&mut nb, o_slot, scan[i][2]) {
-                                        out.push(nb);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    (None, Some(ov)) => {
-                        for shard in by_o.iter().flatten() {
-                            if let Some(hits) = shard.get(&ov) {
-                                for &i in hits {
-                                    let mut nb = b.clone();
-                                    if bind(&mut nb, s_slot, scan[i][0]) {
-                                        out.push(nb);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    (None, None) => {
-                        for t in &scan {
-                            let mut nb = b.clone();
-                            if bind(&mut nb, s_slot, t[0]) && bind(&mut nb, o_slot, t[2]) {
-                                out.push(nb);
-                            }
-                        }
-                    }
-                }
-                uncharged += out.len() - before;
-                if uncharged >= CHARGE_BATCH {
-                    if let Err(e) = charge(guard, &mut uncharged) {
-                        trip = Some(e);
-                        break;
-                    }
-                }
+                (Some(sv), None) => extend_hits(out, &b, &scan, shard_hits(&by_s, sv), o_slot, 2),
+                (None, Some(ov)) => extend_hits(out, &b, &scan, shard_hits(&by_o, ov), s_slot, 0),
+                (None, None) => extend_scan(out, &b, &scan, s_slot, o_slot),
             }
-            if trip.is_none() {
-                trip = charge(guard, &mut uncharged).err();
-            }
-            (out, trip)
+        })
+    }
+
+    /// Sorted-merge variant of [`Self::match_triple_pattern_hash`]: the
+    /// planner marks joins whose one-predicate scan arrives already
+    /// ordered on the join column (`pos` scans sort by object, per-
+    /// subject `spo` scans by object, per-object scans by subject), so
+    /// instead of hashing the scan this operator binary-searches a
+    /// sorted key directory built in one linear pass. Layered views
+    /// concatenate per-layer sorted ranges; a linear sortedness check
+    /// catches that case and one stable sort by key restores the
+    /// directory invariant while keeping per-key hits in scan order —
+    /// the exact hit sequence the hash path's shards yield, so results
+    /// stay byte-identical. Rows whose boundness does not match the key
+    /// column (OPTIONAL / UNION mixtures) probe the hash operator's
+    /// shards on the other column, built only when a boundness pass
+    /// finds such a row.
+    fn match_triple_pattern_merge(
+        &mut self,
+        tp: &TriplePattern,
+        rows: Vec<Binding>,
+        par: bool,
+    ) -> Result<Vec<Binding>> {
+        let Path::Iri(p) = &tp.path else {
+            // Planner only marks plain predicates; stay correct anyway.
+            return self.match_triple_pattern(tp, rows, par);
+        };
+        MERGE_JOINS.fetch_add(1, Ordering::Relaxed);
+        let Some(p_id) = self.g.lookup_iri(p) else {
+            // Unknown predicate: every row finds nothing.
+            return Ok(Vec::new());
+        };
+        let s_slot = self.term_slot(&tp.subject);
+        let o_slot = self.term_slot(&tp.object);
+        let s_ground = self.ground_id(&tp.subject)?;
+        let o_ground = self.ground_id(&tp.object)?;
+        let scan: Vec<[TermId; 3]> = self.g.match_pattern(s_ground, Some(p_id), o_ground);
+        let key_col = merge_key_col(s_ground, o_ground);
+        let dir = KeyDirectory::build(&scan, key_col);
+        // Off-key rows bind only the non-key column's variable; the
+        // fallback binds the key column's variable from its hits.
+        let (other_col, key_slot, other_slot) = if key_col == 0 {
+            (2, s_slot, o_slot)
+        } else {
+            (0, o_slot, s_slot)
+        };
+        let off_key = rows.iter().any(|b| {
+            key_slot.and_then(|sl| b[sl]).is_none() && other_slot.and_then(|sl| b[sl]).is_some()
         });
-        self.merge_partitions(results)
+        let workers = if par { self.workers } else { 1 };
+        let fallback = if off_key {
+            build_shards(workers, &scan, other_col)
+        } else {
+            Vec::new()
+        };
+        self.join_rows(rows, par, |b, out| {
+            match (
+                key_slot.and_then(|sl| b[sl]),
+                other_slot.and_then(|sl| b[sl]),
+            ) {
+                (Some(kv), Some(ov)) => {
+                    if dir.hits(kv).iter().any(|&i| scan[i][other_col] == ov) {
+                        out.push(b);
+                    }
+                }
+                (Some(kv), None) => extend_hits(
+                    out,
+                    &b,
+                    &scan,
+                    dir.hits(kv).iter().copied(),
+                    other_slot,
+                    other_col,
+                ),
+                (None, Some(ov)) => {
+                    extend_hits(out, &b, &scan, shard_hits(&fallback, ov), key_slot, key_col)
+                }
+                (None, None) => extend_scan(out, &b, &scan, s_slot, o_slot),
+            }
+        })
     }
 
     /// Fused multiway star join: `members` are k triple patterns sharing
@@ -1348,78 +918,22 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
         let mut emit = inter;
         emit.sort_by_key(|&(src, _)| src);
 
-        if par {
-            let guard = self.guard;
-            let results = map_chunks(self.workers, PARALLEL_MIN_INPUT, &rows, |_, chunk| {
-                let mut out: Vec<Binding> = Vec::new();
-                let mut uncharged = 0usize;
-                let mut trip: Option<Exhausted> = None;
-                for b in chunk {
-                    if let Some(gd) = guard {
-                        if let Err(e) = gd.check_time() {
-                            trip = Some(e);
-                            break;
-                        }
-                    }
-                    let before = out.len();
-                    match b[v_slot] {
-                        Some(v) => {
-                            if sorted_v.binary_search(&v).is_ok() {
-                                out.push(b.clone());
-                            }
-                        }
-                        None => {
-                            for &(_, v) in &emit {
-                                let mut nb = b.clone();
-                                nb[v_slot] = Some(v);
-                                out.push(nb);
-                            }
-                        }
-                    }
-                    uncharged += out.len() - before;
-                    if uncharged >= CHARGE_BATCH {
-                        if let Err(e) = charge(guard, &mut uncharged) {
-                            trip = Some(e);
-                            break;
-                        }
-                    }
-                }
-                if trip.is_none() {
-                    trip = charge(guard, &mut uncharged).err();
-                }
-                (out, trip)
-            });
-            return self.merge_partitions(results);
-        }
-
-        let mut out = Vec::new();
-        let mut uncharged = 0usize;
-        for b in rows {
-            let before = out.len();
-            match b[v_slot] {
-                // Already-bound shared variable (OPTIONAL / UNION rows):
-                // membership test against the intersection.
-                Some(v) => {
-                    if sorted_v.binary_search(&v).is_ok() {
-                        out.push(b);
-                    }
-                }
-                None => {
-                    for &(_, v) in &emit {
-                        let mut nb = b.clone();
-                        nb[v_slot] = Some(v);
-                        out.push(nb);
-                    }
+        self.join_rows(rows, par, |b, out| match b[v_slot] {
+            // Already-bound shared variable (OPTIONAL / UNION rows):
+            // membership test against the intersection.
+            Some(v) => {
+                if sorted_v.binary_search(&v).is_ok() {
+                    out.push(b);
                 }
             }
-            uncharged += out.len() - before;
-            if uncharged >= CHARGE_BATCH {
-                self.charge_solutions(uncharged)?;
-                uncharged = 0;
+            None => {
+                for &(_, v) in &emit {
+                    let mut nb = b.clone();
+                    nb[v_slot] = Some(v);
+                    out.push(nb);
+                }
             }
-        }
-        self.charge_solutions(uncharged)?;
-        Ok(out)
+        })
     }
 
     /// Stale-plan escape for [`Self::match_star_leapfrog`]: executes the
@@ -1432,7 +946,7 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
     ) -> Result<Vec<Binding>> {
         let mut rows = rows;
         for tp in members {
-            rows = self.match_triple_pattern(tp, rows)?;
+            rows = self.match_triple_pattern(tp, rows, false)?;
             if rows.is_empty() {
                 break;
             }
@@ -1440,19 +954,44 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
         Ok(rows)
     }
 
-    /// Concatenates per-chunk outputs in pinned order; the first worker
-    /// trip (if any) is recorded and surfaced as a typed error.
+    /// The row driver every join operator hands its per-row `probe` to.
+    /// With `par` set and more than one worker the rows split into
+    /// contiguous chunks across the pool ([`map_chunks`] keeps small
+    /// inputs inline); otherwise they run, by value, on the calling
+    /// thread. `probe` must be item-local, so chunk outputs concatenated
+    /// in pinned order equal the one-thread output for every worker
+    /// count.
+    fn join_rows<F>(&self, rows: Vec<Binding>, par: bool, probe: F) -> Result<Vec<Binding>>
+    where
+        F: Fn(Binding, &mut Vec<Binding>) + Sync,
+    {
+        let guard = self.guard;
+        let chunks = if par && self.workers > 1 {
+            map_chunks(self.workers, PARALLEL_MIN_INPUT, &rows, |_, chunk| {
+                probe_rows(guard, chunk.iter().cloned(), &probe)
+            })
+        } else {
+            vec![probe_rows(guard, rows, &probe)]
+        };
+        self.merge_partitions(chunks)
+    }
+
+    /// Concatenates per-chunk outputs in pinned order (a lone chunk is
+    /// returned as is); the first trip (if any) is recorded and surfaced
+    /// as a typed error.
     fn merge_partitions(
         &self,
-        results: Vec<(Vec<Binding>, Option<Exhausted>)>,
+        chunks: Vec<(Vec<Binding>, Option<Exhausted>)>,
     ) -> Result<Vec<Binding>> {
         let mut out = Vec::new();
         let mut trip: Option<Exhausted> = None;
-        for (chunk_out, chunk_trip) in results {
-            out.extend(chunk_out);
-            if trip.is_none() {
-                trip = chunk_trip;
+        for (chunk_out, chunk_trip) in chunks {
+            if out.is_empty() {
+                out = chunk_out;
+            } else {
+                out.extend(chunk_out);
             }
+            trip = trip.or(chunk_trip);
         }
         if let Some(e) = trip {
             self.tripped.set(Some(e));
@@ -1469,13 +1008,12 @@ impl<'a, G: GraphView + Sync> Ctx<'a, G> {
         }
     }
 
-    /// The bound id for this position, if any. Ground terms that are not
-    /// in the dictionary yield a sentinel no-match by interning (the
-    /// pattern simply finds nothing).
-    fn term_value(&mut self, tp: &TermPattern, b: &Binding) -> Result<Option<TermId>> {
+    /// The id of a ground position; `None` for variables and blank
+    /// nodes. Ground terms that are not in the dictionary get a scratch
+    /// id by interning, so the pattern simply finds nothing.
+    fn ground_id(&mut self, tp: &TermPattern) -> Result<Option<TermId>> {
         Ok(match tp {
-            TermPattern::Var(v) => self.vars.get(v).and_then(|s| b[s]),
-            TermPattern::Blank(l) => self.vars.get(&format!("_:{l}")).and_then(|s| b[s]),
+            TermPattern::Var(_) | TermPattern::Blank(_) => None,
             ground => Some(self.intern_ground(ground)?),
         })
     }
@@ -2536,22 +2074,13 @@ impl KeyDirectory {
     }
 }
 
-/// Hash index over one column of a scan (0 = subject, 2 = object).
-fn index_scan(scan: &[[TermId; 3]], col: usize) -> HashMap<TermId, Vec<usize>> {
-    let mut map: HashMap<TermId, Vec<usize>> = HashMap::new();
-    for (i, t) in scan.iter().enumerate() {
-        map.entry(t[col]).or_default().push(i);
-    }
-    map
-}
-
 /// Solution charging is batched: a guard call per input binding costs
 /// ~2% on small queries, so produced rows accumulate locally and are
 /// charged every `CHARGE_BATCH` rows (bounding overshoot to one batch
 /// plus one binding's matches per charging thread).
 const CHARGE_BATCH: usize = 256;
 
-/// Flushes a worker's accumulated row count into the shared guard.
+/// Flushes a chunk's accumulated row count into the shared guard.
 fn charge(guard: Option<&Guard>, uncharged: &mut usize) -> std::result::Result<(), Exhausted> {
     let n = std::mem::take(uncharged);
     match guard {
@@ -2560,10 +2089,88 @@ fn charge(guard: Option<&Guard>, uncharged: &mut usize) -> std::result::Result<(
     }
 }
 
-/// Sharded parallel dual of [`index_scan`]: each worker hashes one
-/// contiguous chunk of the scan, keying hits by **global** scan index.
-/// Probing every shard in chunk order yields hit indices in ascending
-/// order — exactly the sequence the single-map build produces.
+/// The row loop under [`Ctx::join_rows`]: feeds each row to `probe`,
+/// polls the guard's clock per row, and charges produced rows every
+/// [`CHARGE_BATCH`]. A trip stops the loop and comes back beside the
+/// rows produced so far.
+fn probe_rows<F>(
+    guard: Option<&Guard>,
+    rows: impl IntoIterator<Item = Binding>,
+    probe: F,
+) -> (Vec<Binding>, Option<Exhausted>)
+where
+    F: Fn(Binding, &mut Vec<Binding>),
+{
+    let mut out = Vec::new();
+    let mut uncharged = 0usize;
+    for b in rows {
+        if let Some(e) = guard.and_then(|g| g.check_time().err()) {
+            return (out, Some(e));
+        }
+        let before = out.len();
+        probe(b, &mut out);
+        uncharged += out.len() - before;
+        if uncharged >= CHARGE_BATCH {
+            if let Err(e) = charge(guard, &mut uncharged) {
+                return (out, Some(e));
+            }
+        }
+    }
+    let trip = charge(guard, &mut uncharged).err();
+    (out, trip)
+}
+
+/// Extends `b` once per scan hit, binding the hit's `col` term into
+/// `slot`; a hit that conflicts with an existing binding is skipped.
+fn extend_hits(
+    out: &mut Vec<Binding>,
+    b: &Binding,
+    scan: &[[TermId; 3]],
+    hits: impl IntoIterator<Item = usize>,
+    slot: Option<usize>,
+    col: usize,
+) {
+    for i in hits {
+        let mut nb = b.clone();
+        if bind(&mut nb, slot, scan[i][col]) {
+            out.push(nb);
+        }
+    }
+}
+
+/// Extends `b` with every scan triple's subject and object.
+fn extend_scan(
+    out: &mut Vec<Binding>,
+    b: &Binding,
+    scan: &[[TermId; 3]],
+    s_slot: Option<usize>,
+    o_slot: Option<usize>,
+) {
+    for t in scan {
+        let mut nb = b.clone();
+        if bind(&mut nb, s_slot, t[0]) && bind(&mut nb, o_slot, t[2]) {
+            out.push(nb);
+        }
+    }
+}
+
+/// `key`'s scan positions across [`build_shards`]' shards, ascending.
+fn shard_hits(
+    shards: &[HashMap<TermId, Vec<usize>>],
+    key: TermId,
+) -> impl Iterator<Item = usize> + '_ {
+    shards
+        .iter()
+        .filter_map(move |m| m.get(&key))
+        .flatten()
+        .copied()
+}
+
+/// Hash index over one column of a scan (0 = subject, 2 = object),
+/// built as one shard per worker: each hashes one contiguous chunk of
+/// the scan, keying hits by **global** scan index. Probing the shards
+/// in chunk order yields hit indices in ascending order, the sequence a
+/// single map would hold; at one worker there is exactly one shard.
 fn build_shards(
     workers: usize,
     scan: &[[TermId; 3]],
@@ -2608,5 +2215,159 @@ fn literal_pattern_to_term(l: &LiteralPattern) -> Term {
             feo_rdf::Iri::new(dt.clone()),
         )),
         (None, None) => Term::simple(l.lexical.clone()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use feo_rdf::governor::{Budget, Resource};
+
+    const EX: &str = "http://example.org/";
+
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Nested,
+        Hash,
+        Merge,
+        Leapfrog,
+    }
+
+    const OPS: [Op; 4] = [Op::Nested, Op::Hash, Op::Merge, Op::Leapfrog];
+
+    fn iri(local: &str) -> String {
+        format!("{EX}{local}")
+    }
+
+    /// 40 subjects, each with three `ex:p` objects out of seven and
+    /// `ex:a ex:A`; every second subject also has `ex:tag ex:B`.
+    fn fixture() -> Graph {
+        let mut g = Graph::new();
+        for i in 0..40 {
+            let s = iri(&format!("s{i}"));
+            for k in 0..3 {
+                g.insert_iris(&s, &iri("p"), &iri(&format!("o{}", (i + k) % 7)));
+            }
+            g.insert_iris(&s, &iri("a"), &iri("A"));
+            if i % 2 == 0 {
+                g.insert_iris(&s, &iri("tag"), &iri("B"));
+            }
+        }
+        g
+    }
+
+    /// `n` input rows over slots `?s` (0) and `?o` (1) that mix every
+    /// boundness an operator branches on: subject only, object only,
+    /// both, and neither (the cross-product rows).
+    fn input_rows(g: &Graph, n: usize) -> Vec<Binding> {
+        let id = |local: String| g.lookup_iri(&iri(&local));
+        (0..n)
+            .map(|i| {
+                let s = id(format!("s{}", i % 40));
+                let o = id(format!("o{}", i % 7));
+                match (i % 5, i % 11, i % 13) {
+                    (_, _, 4) => vec![None, None],
+                    (_, 3, _) => vec![s, o],
+                    (1, _, _) => vec![None, o],
+                    _ => vec![s, None],
+                }
+            })
+            .collect()
+    }
+
+    fn var(name: &str) -> TermPattern {
+        TermPattern::Var(name.to_string())
+    }
+
+    fn pattern(p: &str, object: TermPattern) -> TriplePattern {
+        TriplePattern {
+            subject: var("s"),
+            path: Path::Iri(iri(p)),
+            object,
+        }
+    }
+
+    /// Runs `op` directly, with `par` set, on `n` input rows.
+    fn run(
+        g: &Graph,
+        op: Op,
+        n: usize,
+        workers: usize,
+        guard: Option<&Guard>,
+    ) -> Result<Vec<Binding>> {
+        let mut vars = VarTable::default();
+        vars.slot("s");
+        vars.slot("o");
+        let mut ctx = Ctx {
+            g: Overlay::new(g),
+            vars,
+            exists: &[],
+            force: None,
+            guard,
+            tripped: Cell::new(None),
+            workers,
+        };
+        let rows = input_rows(g, n);
+        let join = pattern("p", var("o"));
+        match op {
+            Op::Nested => ctx.match_triple_pattern(&join, rows, true),
+            Op::Hash => ctx.match_triple_pattern_hash(&join, rows, true),
+            Op::Merge => ctx.match_triple_pattern_merge(&join, rows, true),
+            Op::Leapfrog => {
+                let a = pattern("a", TermPattern::Iri(iri("A")));
+                let tag = pattern("tag", TermPattern::Iri(iri("B")));
+                ctx.match_star_leapfrog(&[&a, &tag], rows, true)
+            }
+        }
+    }
+
+    #[test]
+    fn row_driver_is_identical_at_one_and_many_workers() {
+        let g = fixture();
+        let sizes = [
+            0,
+            1,
+            PARALLEL_MIN_INPUT - 1,
+            PARALLEL_MIN_INPUT,
+            PARALLEL_MIN_INPUT + 1,
+        ];
+        for op in OPS {
+            for n in sizes {
+                let one = run(&g, op, n, 1, None).unwrap();
+                let four = run(&g, op, n, 4, None).unwrap();
+                assert_eq!(one, four, "{op:?} at {n} rows");
+                assert_eq!(one.is_empty(), n == 0, "{op:?} at {n} rows");
+            }
+            // 130 rows over 3 workers split 44 / 44 / 42.
+            let n = PARALLEL_MIN_INPUT + 2;
+            let one = run(&g, op, n, 1, None).unwrap();
+            let three = run(&g, op, n, 3, None).unwrap();
+            assert_eq!(one, three, "{op:?} at {n} rows, 3 workers");
+        }
+    }
+
+    #[test]
+    fn row_driver_surfaces_a_budget_trip_inside_a_chunk() {
+        let g = fixture();
+        let n = PARALLEL_MIN_INPUT + 1;
+        const BUDGET: u64 = 100;
+        for op in OPS {
+            // The first of four chunks alone overshoots the budget, so
+            // the trip lands inside a chunk at either worker count.
+            let first_chunk = run(&g, op, n.div_ceil(4), 1, None).unwrap().len();
+            assert!(
+                first_chunk > BUDGET as usize,
+                "{op:?} produced {first_chunk}"
+            );
+            for workers in [1, 4] {
+                let guard = Budget::new().with_max_solutions(BUDGET).start();
+                match run(&g, op, n, workers, Some(&guard)) {
+                    Err(SparqlError::Exhausted(e)) => {
+                        assert_eq!(e.resource, Resource::Solutions, "{op:?}")
+                    }
+                    other => panic!("{op:?} at {workers} workers: {other:?}"),
+                }
+            }
+        }
     }
 }

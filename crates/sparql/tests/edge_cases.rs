@@ -268,3 +268,36 @@ fn deeply_nested_groups() {
     );
     assert_eq!(t.len(), 1);
 }
+
+#[test]
+fn repeated_variable_in_one_pattern_must_agree() {
+    use feo_sparql::{JoinAlgo, QueryOptions};
+    let g = graph("e:a e:p e:b . e:c e:p e:c . e:d e:d e:e .");
+    let cases = [
+        ("SELECT ?x WHERE { ?x e:p ?x }", vec!["http://e/c"]),
+        ("SELECT ?x WHERE { ?x ?x ?o }", vec!["http://e/d"]),
+        ("SELECT ?x WHERE { ?x e:p+ ?x }", vec!["http://e/c"]),
+    ];
+    for (q, want) in cases {
+        for force_join in [
+            None,
+            Some(JoinAlgo::Nested),
+            Some(JoinAlgo::Hash),
+            Some(JoinAlgo::Merge),
+        ] {
+            let opts = QueryOptions {
+                force_join,
+                ..Default::default()
+            };
+            let t = query(&g, &format!("PREFIX e: <http://e/>\n{q}"), &opts)
+                .expect("query evaluates")
+                .expect_solutions();
+            let want: Vec<Term> = want.iter().map(|w| Term::iri(*w)).collect();
+            assert_eq!(
+                t.column("x"),
+                want.iter().collect::<Vec<_>>(),
+                "{q} under {force_join:?}"
+            );
+        }
+    }
+}
